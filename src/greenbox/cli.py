@@ -208,13 +208,17 @@ def cmd_dump(cfg, args):
     return 0
 
 
-def _run_named(name, args, filename):
+def _run_checks(run, out_dir, filename, preset=None):
+    """Time ``run()``, print its checks and report them when out_dir is set.
+
+    Returns the exit code: 0 when every check passed, 1 otherwise.
+    """
     t0 = time.perf_counter()
-    checks, _ = verify.run_preset(name)
+    checks = run()
     elapsed = time.perf_counter() - t0
     _print_checks(checks)
-    if args.out:
-        _, path = write_report(checks, elapsed, args.out, preset=name,
+    if out_dir:
+        _, path = write_report(checks, elapsed, out_dir, preset=preset,
                                filename=filename)
         print(f"report           {path}")
     return 0 if all(c.passed for c in checks) else 1
@@ -231,47 +235,26 @@ def cmd_decay(cfg, args):
                       ("radii_count", int)):
         if cfg.get(key):
             kwargs[key] = cast(cfg[key])
-    t0 = time.perf_counter()
-    checks = runner(**kwargs)
-    elapsed = time.perf_counter() - t0
-    _print_checks(checks)
-    if args.out:
-        _, path = write_report(checks, elapsed, args.out, filename="decay.json")
-        print(f"report           {path}")
-    return 0 if all(c.passed for c in checks) else 1
+    return _run_checks(lambda: runner(**kwargs), args.out, "decay.json")
 
 
 def cmd_lorentz(cfg, args):
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    t0 = time.perf_counter()
-    checks = verify.checks_lorentz(seed=seed)
-    elapsed = time.perf_counter() - t0
-    _print_checks(checks)
-    if args.out:
-        _, path = write_report(checks, elapsed, args.out,
-                               filename="lorentz.json")
-        print(f"report           {path}")
-    return 0 if all(c.passed for c in checks) else 1
+    return _run_checks(lambda: verify.checks_lorentz(seed=seed), args.out,
+                       "lorentz.json")
 
 
 def cmd_lift(cfg, args):
-    return _run_named("lift", args, "lift.json")
+    return _run_checks(lambda: verify.run_preset("lift")[0], args.out,
+                       "lift.json", preset="lift")
 
 
 def cmd_verify(cfg, args):
-    name = args.preset or (cfg.get("experiments", "all") if cfg else "all")
-    t0 = time.perf_counter()
-    all_checks = []
-    for part in str(name).split(","):
-        checks, _ = verify.run_preset(part.strip())
-        all_checks.extend(checks)
-    elapsed = time.perf_counter() - t0
-    _print_checks(all_checks)
-    out_dir = args.out or "."
-    report, path = write_report(all_checks, elapsed, out_dir,
-                                preset=str(name))
-    print(f"report           {path}")
-    return 0 if report["overall_pass"] else 1
+    name = str(args.preset or (cfg.get("experiments", "all") if cfg else "all"))
+    return _run_checks(
+        lambda: [c for part in name.split(",")
+                 for c in verify.run_preset(part.strip())[0]],
+        args.out or ".", "report.json", preset=name)
 
 
 COMMANDS = {
@@ -311,11 +294,11 @@ def main(argv=None):
     try:
         cfg = parse_config(args.config) if args.config else {}
         return COMMANDS[args.command](cfg, args)
-    except (ConfigError, ConvergenceError) as exc:
+    except (ValueError, ConvergenceError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # exit 1 is reserved for "violation found"
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

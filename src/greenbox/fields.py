@@ -53,11 +53,14 @@ class PeriodicField:
             raise ConfigError(f"dimension must be 2 or 3, got {self.dim}")
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown field family {self.family!r}")
+        params = tuple(float(p) for p in self.params)
+        if not np.all(np.isfinite(params + (self.alpha, self.bound))):
+            raise ConfigError("field parameters, alpha and bound must be finite")
         if self.alpha <= 0.0 or self.bound <= 0.0:
             raise ConfigError("alpha and bound must be positive")
         if not 0.0 < self.holder_exponent <= 1.0:
             raise ConfigError("holder_exponent must lie in (0, 1]")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        object.__setattr__(self, "params", params)
 
 
 def make_field(family, dim=2, params=None):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fields
 from .errors import ConfigError, SourcePlacementError
-from .sparse import SparseSystem
+from .sparse import SparseSystem, stencil_offsets
 
 # 2-point Gauss nodes on the reference interval [0, 1]; exact for the
 # bilinear basis with constant coefficients, O(h^2)-consistent for smooth A.
@@ -156,9 +156,9 @@ def _assemble_axes(matrix_fn, axes, h, symmetric, chunk=1 << 16):
 
     ``axes`` is a list of per-axis node coordinate arrays with common
     spacing ``h``; ``matrix_fn`` maps (M, d) points to (M, d, d) coefficient
-    matrices.  Entries are accumulated in banded (node, stencil-offset)
-    storage in a fixed order, so the output is independent of any element
-    visit order by construction.
+    matrices.  Entries are accumulated straight into the (stencil offset,
+    node) storage of ``SparseSystem`` in a fixed order, so the output is
+    independent of any element visit order by construction.
     """
     d = len(axes)
     shape = tuple(len(a) for a in axes)
@@ -169,9 +169,7 @@ def _assemble_axes(matrix_fn, axes, h, symmetric, chunk=1 << 16):
     xi, gref = _reference_rules(d)
     nq = xi.shape[0]
     # pair (i, j) of local corners -> stencil offset id in {0..3^d-1}
-    offsets3 = np.stack(np.meshgrid(*([np.array([-1, 0, 1])] * d), indexing="ij"),
-                        axis=-1).reshape(-1, d)
-    off_id = {tuple(o): k for k, o in enumerate(offsets3)}
+    off_id = {tuple(o): k for k, o in enumerate(stencil_offsets(d))}
     pair_off = np.array([[off_id[tuple(corners[j] - corners[i])]
                           for j in range(m)] for i in range(m)])
 
@@ -180,7 +178,7 @@ def _assemble_axes(matrix_fn, axes, h, symmetric, chunk=1 << 16):
     scale = h ** (d - 2) / (2**d)
 
     istrides = np.array([int(np.prod(ishape[k + 1:])) for k in range(d)])
-    banded = np.zeros((n_int, 3**d))
+    data = np.zeros((3**d, n_int))
 
     eshape = tuple(s - 1 for s in shape)
     n_el = int(np.prod(eshape))
@@ -204,30 +202,9 @@ def _assemble_axes(matrix_fn, axes, h, symmetric, chunk=1 << 16):
                     continue
                 # rows are distinct within a fixed local corner, so plain
                 # fancy-index accumulation is exact and order-free
-                banded[int_idx[keep, i], pair_off[i, j]] += elem[keep, i * m + j]
+                data[pair_off[i, j], int_idx[keep, i]] += elem[keep, i * m + j]
 
-    # banded -> CSR; stencil offsets sorted by their linear column shift
-    col_shift = offsets3 @ istrides
-    order = np.argsort(col_shift, kind="stable")
-    offsets3 = offsets3[order]
-    col_shift = col_shift[order]
-    banded = banded[:, order]
-
-    imulti = np.stack(np.unravel_index(np.arange(n_int), ishape), axis=-1)
-    valid = np.ones((n_int, 3**d), dtype=bool)
-    for k in range(d):
-        for o, sgn in ((0, -1), (ishape[k] - 1, 1)):
-            edge = imulti[:, k] == o
-            hit = offsets3[:, k] == sgn
-            valid[np.ix_(edge, hit)] = False
-    counts = valid.sum(axis=1)
-    indptr = np.zeros(n_int + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    cols = np.arange(n_int, dtype=np.int64)[:, None] + col_shift[None, :]
-    indices = cols[valid]
-    data = banded[valid]
-    return SparseSystem(n_rows=n_int, indptr=indptr, indices=indices,
-                        data=data, symmetric=symmetric)
+    return SparseSystem(ishape, data, symmetric)
 
 
 def assemble(field, grid):

@@ -1,14 +1,17 @@
-"""Compressed-row sparse matrices, Krylov solvers, and a dense direct oracle.
+"""3^d stencil operators, Krylov solvers, and a dense direct oracle.
 
-Solvers are deliberately plain: Jacobi-scaled conjugate gradients for the
-symmetric case, Jacobi-scaled BiCGStab otherwise.  All reductions use fixed
-summation orders, so repeated runs with identical inputs are bitwise
-reproducible.
+An operator on a grid of interior nodes is stored as its stencil: one
+coefficient per (neighbour offset, node).  Solvers are deliberately plain:
+Jacobi-scaled conjugate gradients for the symmetric case, Jacobi-scaled
+BiCGStab otherwise.  Matvecs and inner products run in numpy's own
+fixed-order loops, never in BLAS, so runs with identical inputs are bitwise
+reproducible at any BLAS thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -23,80 +26,134 @@ class SolveInfo(NamedTuple):
     residual: float
 
 
+def stencil_offsets(d):
+    """(3^d, d) neighbour offsets in {-1, 0, 1}^d, in C order.
+
+    On a grid with at least two nodes per axis this is also the order of the
+    linear index shifts: the centre sits at (3^d - 1) // 2, and offset k is
+    the reflection of offset 3^d - 1 - k.
+    """
+    axes = [np.array([-1, 0, 1])] * d
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+
+
 @dataclass
 class SparseSystem:
-    """CSR matrix over the interior unknowns of a grid.
+    """3^d-point stencil operator over the nodes of a grid of ``shape``.
 
-    Column indices are strictly increasing within each row; every diagonal
-    entry is present and positive (coercivity of the discrete form).  The
-    ``symmetric`` flag is set by the assembler from the coefficient family.
+    ``data[k, i]`` couples node i (C order) to its neighbour at
+    ``stencil_offsets(d)[k]``.  Entries whose neighbour is off the grid are
+    exactly zero, and the diagonal (centre row) is positive (coercivity of
+    the discrete form).  The ``symmetric`` flag is set by the assembler from
+    the coefficient family.
     """
 
-    n_rows: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    shape: tuple
     data: np.ndarray
     symmetric: bool
 
     @property
+    def n_rows(self):
+        return int(np.prod(self.shape))
+
+    @property
     def nnz(self):
-        return self.data.size
+        """Couplings between on-grid nodes: 3m - 2 per axis of m nodes."""
+        return int(np.prod([3 * m - 2 for m in self.shape]))
+
+    @cached_property
+    def shifts(self):
+        """Linear index shift of each stencil offset, increasing."""
+        d = len(self.shape)
+        strides = [int(np.prod(self.shape[k + 1:])) for k in range(d)]
+        return stencil_offsets(d) @ np.array(strides)
+
+    def _on_grid(self):
+        """(3^d, N) mask: the neighbour at offset k of node i is on the grid."""
+        inside = np.pad(np.ones(self.shape, dtype=bool), 1)
+        views = ([slice(1 + o, 1 + o + m) for o, m in zip(off, self.shape)]
+                 for off in stencil_offsets(len(self.shape)))
+        return np.array([inside[tuple(v)].ravel() for v in views])
 
     def diagonal(self):
-        diag = np.empty(self.n_rows)
-        for i in range(self.n_rows):
-            row = self.indices[self.indptr[i]:self.indptr[i + 1]]
-            k = np.searchsorted(row, i)
-            if k >= row.size or row[k] != i:
-                raise ConfigError(f"missing diagonal entry in row {i}")
-            diag[i] = self.data[self.indptr[i] + k]
-        return diag
+        return self.data[(len(self.data) - 1) // 2].copy()
 
     def to_dense(self):
         dense = np.zeros((self.n_rows, self.n_rows))
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        dense[rows, self.indices] = self.data
+        k, i = np.nonzero(self._on_grid())
+        dense[i, i + self.shifts[k]] = self.data[k, i]
         return dense
 
     def transpose(self):
-        """Explicit CSR transpose (stable counting sort over columns)."""
-        order = np.argsort(self.indices, kind="stable")
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        t_indices = rows[order]
-        t_data = self.data[order]
-        counts = np.bincount(self.indices, minlength=self.n_rows)
-        t_indptr = np.zeros(self.n_rows + 1, dtype=self.indptr.dtype)
-        np.cumsum(counts, out=t_indptr[1:])
-        return SparseSystem(self.n_rows, t_indptr, t_indices, t_data,
-                            self.symmetric)
+        """The reflected stencil K^T[i, o] = K[i + o, -o]."""
+        k, i = np.nonzero(self._on_grid())
+        t_data = np.zeros_like(self.data)
+        t_data[k, i] = self.data[len(self.data) - 1 - k, i + self.shifts[k]]
+        return SparseSystem(self.shape, t_data, self.symmetric)
 
     def validate(self):
-        """Check the CSR invariants; raises ConfigError on violation."""
-        if self.indptr[0] != 0 or self.indptr[-1] != self.nnz:
-            raise ConfigError("bad indptr bounds")
-        for i in range(self.n_rows):
-            row = self.indices[self.indptr[i]:self.indptr[i + 1]]
-            if row.size and np.any(np.diff(row) <= 0):
-                raise ConfigError(f"column indices not strictly increasing in row {i}")
-        if np.any(self.diagonal() <= 0.0):
+        """Check the stencil invariants; raises ConfigError on violation."""
+        if self.data.shape != (3 ** len(self.shape), self.n_rows):
+            raise ConfigError(f"stencil data shape {self.data.shape} does not "
+                              f"fit grid shape {tuple(self.shape)}")
+        if np.any(self.data[~self._on_grid()] != 0.0):
+            raise ConfigError("nonzero coupling to a node off the grid")
+        if not np.all(self.diagonal() > 0.0):
             raise ConfigError("nonpositive diagonal entry")
         return True
 
 
 def matvec(system, x):
-    """y = K x with deterministic left-to-right summation within each row."""
+    """y = K x: 3^d shifted multiply-adds over a zero-padded x, in offset order.
+
+    A read that wraps past a grid face meets an exactly-zero stencil entry.
+    """
     x = np.asarray(x)
-    if x.shape != (system.n_rows,):
-        raise ConfigError(
-            f"matvec length mismatch: {x.shape} vs {system.n_rows}")
-    prod = system.data * x[system.indices]
-    # every row holds its diagonal, so no segment is empty
-    return np.add.reduceat(prod, system.indptr[:-1])
+    n = system.n_rows
+    if x.shape != (n,):
+        raise ConfigError(f"matvec length mismatch: {x.shape} vs {n}")
+    pad = int(system.shifts[-1])
+    xp = np.zeros(n + 2 * pad)
+    xp[pad:pad + n] = x
+    y = np.zeros(n)
+    for row, s in zip(system.data, system.shifts):
+        y += row * xp[pad + s:pad + s + n]
+    return y
 
 
-def _check_true_residual(system, x, rhs, tol_abs):
+def _dot(a, b):
+    """Inner product in numpy's own fixed-order loop, not threaded BLAS."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a):
+    return float(np.sqrt(_dot(a, a)))
+
+
+def _true_residual(system, x, rhs):
     r = rhs - matvec(system, x)
-    return r, float(np.linalg.norm(r))
+    return r, _norm(r)
+
+
+def _start(system, rhs, rel_tol, max_iter):
+    """Shared solver preamble: (rhs, x = 0, tol_abs, inv_diag, max_iter).
+
+    inv_diag is None when rhs = 0, whose solution is the zero start.
+    """
+    if not 0.0 < rel_tol < 1.0:
+        raise ConfigError("rel_tol must lie in (0, 1)")
+    rhs = np.asarray(rhs, dtype=float)
+    norm_b = _norm(rhs)
+    inv_diag = None if norm_b == 0.0 else 1.0 / system.diagonal()
+    return (rhs, np.zeros(system.n_rows), rel_tol * norm_b, inv_diag,
+            20 * system.n_rows if max_iter is None else max_iter)
+
+
+def _not_converged(name, system, x, rhs, rel_tol, max_iter, iterations):
+    res = _true_residual(system, x, rhs)[1]
+    return ConvergenceError(
+        f"{name} did not reach {rel_tol:g} in {max_iter} iterations "
+        f"(residual {res:g})", residual=res, iterations=iterations)
 
 
 def solve_spd(system, rhs, rel_tol=1e-10, max_iter=None):
@@ -108,46 +165,35 @@ def solve_spd(system, rhs, rel_tol=1e-10, max_iter=None):
     """
     if not system.symmetric:
         raise ConfigError("solve_spd requires the symmetric flag")
-    if not 0.0 < rel_tol < 1.0:
-        raise ConfigError("rel_tol must lie in (0, 1)")
-    if max_iter is None:
-        max_iter = 20 * system.n_rows
-    rhs = np.asarray(rhs, dtype=float)
-    norm_b = float(np.linalg.norm(rhs))
-    x = np.zeros(system.n_rows)
-    if norm_b == 0.0:
+    rhs, x, tol_abs, inv_diag, max_iter = _start(system, rhs, rel_tol, max_iter)
+    if inv_diag is None:
         return x, SolveInfo(0, 0.0)
-    tol_abs = rel_tol * norm_b
-    inv_diag = 1.0 / system.diagonal()
     r = rhs.copy()
     z = inv_diag * r
     p = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     iterations = 0
     while iterations < max_iter:
         iterations += 1
         ap = matvec(system, p)
-        alpha = rz / float(p @ ap)
+        alpha = rz / _dot(p, ap)
         x += alpha * p
         r -= alpha * ap
-        if np.linalg.norm(r) <= tol_abs:
-            r_true, res = _check_true_residual(system, x, rhs, tol_abs)
+        if _norm(r) <= tol_abs:
+            r_true, res = _true_residual(system, x, rhs)
             if res <= tol_abs:
                 return x, SolveInfo(iterations, res)
             # recursion residual drifted from the true one: restart
             r = r_true
             z = inv_diag * r
             p = z.copy()
-            rz = float(r @ z)
+            rz = _dot(r, z)
             continue
         z = inv_diag * r
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    res = float(np.linalg.norm(rhs - matvec(system, x)))
-    raise ConvergenceError(
-        f"CG did not reach {rel_tol:g} in {max_iter} iterations "
-        f"(residual {res:g})", residual=res, iterations=max_iter)
+    raise _not_converged("CG", system, x, rhs, rel_tol, max_iter, iterations)
 
 
 def solve_general(system, rhs, rel_tol=1e-10, max_iter=None):
@@ -156,17 +202,9 @@ def solve_general(system, rhs, rel_tol=1e-10, max_iter=None):
     Same contract as solve_spd.  On symmetric inputs the result agrees with
     solve_spd to the solver tolerance.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise ConfigError("rel_tol must lie in (0, 1)")
-    if max_iter is None:
-        max_iter = 20 * system.n_rows
-    rhs = np.asarray(rhs, dtype=float)
-    norm_b = float(np.linalg.norm(rhs))
-    x = np.zeros(system.n_rows)
-    if norm_b == 0.0:
+    rhs, x, tol_abs, inv_diag, max_iter = _start(system, rhs, rel_tol, max_iter)
+    if inv_diag is None:
         return x, SolveInfo(0, 0.0)
-    tol_abs = rel_tol * norm_b
-    inv_diag = 1.0 / system.diagonal()
     r = rhs.copy()
     r0 = r.copy()
     rho = alpha = omega = 1.0
@@ -175,11 +213,11 @@ def solve_general(system, rhs, rel_tol=1e-10, max_iter=None):
     iterations = 0
     while iterations < max_iter:
         iterations += 1
-        rho_new = float(r0 @ r)
+        rho_new = _dot(r0, r)
         if rho_new == 0.0 or (omega == 0.0 and iterations > 1):
             # breakdown: restart the shadow residual from the current one
             r0 = r.copy()
-            rho_new = float(r0 @ r)
+            rho_new = _dot(r0, r)
             if rho_new == 0.0:
                 break
             p = np.zeros_like(r)
@@ -190,34 +228,31 @@ def solve_general(system, rhs, rel_tol=1e-10, max_iter=None):
         p = r + beta * (p - omega * v)
         ph = inv_diag * p
         v = matvec(system, ph)
-        alpha = rho / float(r0 @ v)
+        alpha = rho / _dot(r0, v)
         s = r - alpha * v
-        if np.linalg.norm(s) <= tol_abs:
+        if _norm(s) <= tol_abs:
             x += alpha * ph
-            r_true, res = _check_true_residual(system, x, rhs, tol_abs)
+            r_true, res = _true_residual(system, x, rhs)
             if res <= tol_abs:
                 return x, SolveInfo(iterations, res)
             r = r_true
             continue
         sh = inv_diag * s
         t = matvec(system, sh)
-        tt = float(t @ t)
+        tt = _dot(t, t)
         if tt == 0.0:
             raise ConvergenceError("BiCGStab breakdown: t = 0",
-                                   residual=float(np.linalg.norm(s)),
-                                   iterations=iterations)
-        omega = float(t @ s) / tt
+                                   residual=_norm(s), iterations=iterations)
+        omega = _dot(t, s) / tt
         x += alpha * ph + omega * sh
         r = s - omega * t
-        if np.linalg.norm(r) <= tol_abs:
-            r_true, res = _check_true_residual(system, x, rhs, tol_abs)
+        if _norm(r) <= tol_abs:
+            r_true, res = _true_residual(system, x, rhs)
             if res <= tol_abs:
                 return x, SolveInfo(iterations, res)
             r = r_true
-    res = float(np.linalg.norm(rhs - matvec(system, x)))
-    raise ConvergenceError(
-        f"BiCGStab did not reach {rel_tol:g} in {max_iter} iterations "
-        f"(residual {res:g})", residual=res, iterations=iterations)
+    raise _not_converged("BiCGStab", system, x, rhs, rel_tol, max_iter,
+                         iterations)
 
 
 def solve(system, rhs, rel_tol=1e-10, max_iter=None):

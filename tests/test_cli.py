@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from greenbox import ConfigError, build_grid, green_column, make_field
+from greenbox import ConfigError, build_grid, green, green_column, make_field
 from greenbox.cli import dump_field, main, parse_config
 
 
@@ -115,13 +115,30 @@ def test_cli_malformed_config_exit_2(tmp_path):
     assert not (out / "report.json").exists()
 
 
+def test_cli_non_finite_override_exit_2(tmp_path, capsys):
+    cfg = write(tmp_path / "nan.cfg", "family = scalar_trig\nalpha = nan\n")
+    assert main(["field-info", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
+    def oversized(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+    monkeypatch.setattr(green, "green_column", oversized)
+    cfg = write(tmp_path / "solve.cfg", "family = identity\ndim = 2\nn = 9\n")
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cli_unknown_preset_exit_2():
     assert main(["verify", "--preset", "no-such-thing"]) == 2
 
 
-def test_console_entry_point():
+def test_console_entry_point(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "greenbox.cli", "verify", "--preset", "adjoint"],
+        [sys.executable, "-m", "greenbox.cli", "verify", "--preset", "adjoint",
+         "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

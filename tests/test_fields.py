@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,18 @@ def test_make_field_parameter_validation():
         make_field("diag_aniso", 2, (1.0, 1.0))  # wrong arity
     with pytest.raises(ConfigError):
         make_field("identity", 4)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_parameters_rejected(bad):
+    for family, params in (("scalar_trig", (bad, 1.0, 1.0)),
+                           ("scalar_trig", (2.0, bad, 1.0)),
+                           ("scalar_trig", (2.0, 1.0, bad)),
+                           ("diag_aniso", (2.0, 3.0, bad, 0.25)),
+                           ("nonsym_skew", (bad,))):
+        with pytest.raises(ConfigError):
+            make_field(family, 2, params)
+    field = make_field("scalar_trig", 2)
+    for key in ("alpha", "bound"):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(field, **{key: bad})

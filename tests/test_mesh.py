@@ -3,6 +3,7 @@ import pytest
 
 from greenbox import (ConfigError, SourcePlacementError, assemble, build_grid,
                       gradient_field, load_delta, make_field, transpose_field)
+from greenbox.sparse import stencil_offsets
 
 # reference Q1 stiffness of -Laplace on a unit square, corners in C order
 # (0,0), (0,1), (1,0), (1,1): diagonal 2/3, edge-adjacent -1/6, opposite -1/3
@@ -60,11 +61,10 @@ def _laplace_stencil(n, R):
     f = make_field("identity", 2)
     K = assemble(f, g)
     ii = g.interior_index[g.center_index]
-    row = {}
-    start, stop = K.indptr[ii], K.indptr[ii + 1]
-    for col, val in zip(K.indices[start:stop], K.data[start:stop]):
-        row[int(col) - ii] = val
-    return row, n - 2
+    m = n - 2
+    shifts = stencil_offsets(2) @ np.array([m, 1])
+    row = {int(s): K.data[k, ii] for k, s in enumerate(shifts)}
+    return row, m
 
 
 @pytest.mark.parametrize("n,R", [(9, 1.0), (17, 3.0)])

@@ -1,27 +1,28 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import greenbox
 from greenbox import (ConfigError, ConvergenceError, SparseSystem, assemble,
                       build_grid, dense_solve, load_delta, make_field, matvec,
                       solve_general, solve_spd)
 
 
 def from_dense(mat, symmetric=None):
+    """1D 3-point stencil system of a tridiagonal matrix."""
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
-    indptr = [0]
-    indices = []
-    data = []
-    for i in range(n):
-        cols = np.flatnonzero(mat[i] != 0.0)
-        indices.extend(cols.tolist())
-        data.extend(mat[i, cols].tolist())
-        indptr.append(len(indices))
+    assert np.array_equal(np.triu(np.tril(mat, 1), -1), mat), "not tridiagonal"
+    data = np.zeros((3, n))
+    data[0, 1:] = np.diag(mat, -1)
+    data[1] = np.diag(mat)
+    data[2, :-1] = np.diag(mat, 1)
     if symmetric is None:
         symmetric = bool(np.array_equal(mat, mat.T))
-    return SparseSystem(n_rows=n, indptr=np.array(indptr, dtype=np.int64),
-                        indices=np.array(indices, dtype=np.int64),
-                        data=np.array(data), symmetric=symmetric)
+    return SparseSystem(shape=(n,), data=data, symmetric=symmetric)
 
 
 TWO_BY_TWO = [[2.0, -1.0], [-1.0, 2.0]]
@@ -132,6 +133,30 @@ def test_determinism_bitwise():
     assert np.array_equal(K.data, K2.data)
 
 
+_COLUMN_HASH = """
+import hashlib
+import greenbox as gb
+g = gb.build_grid(3, 1.0, 33)
+col = gb.green_column(gb.make_field("scalar_trig", 3), g, g.center_index)
+print(col.iterations, hashlib.sha256(col.values.tobytes()).hexdigest())
+"""
+
+
+def test_column_bitwise_across_blas_threads():
+    src = os.path.dirname(os.path.dirname(greenbox.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _COLUMN_HASH], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_dense_solve_identity_and_hand_case():
     eye = from_dense(np.eye(4))
     rhs = np.array([1.0, 2.0, 3.0, 4.0])
@@ -149,9 +174,9 @@ def test_dense_solve_singular():
 
 def test_dense_solve_size_cap():
     n = 4097
-    big = SparseSystem(n_rows=n, indptr=np.arange(n + 1, dtype=np.int64),
-                       indices=np.arange(n, dtype=np.int64),
-                       data=np.ones(n), symmetric=True)
+    data = np.zeros((3, n))
+    data[1] = 1.0  # the identity, without a dense 4097 x 4097 copy
+    big = SparseSystem(shape=(n,), data=data, symmetric=True)
     with pytest.raises(ConfigError):
         dense_solve(big, np.zeros(n))
 
@@ -163,8 +188,17 @@ def test_csr_invariants_on_assembled_systems():
             K = assemble(make_field(fam, dim), g)
             assert K.validate()
             assert np.all(K.diagonal() > 0.0)
+            off_grid = K.data.copy()
+            off_grid[0, 0] = 1.0  # node 0's (-1, ..., -1) neighbour
+            for broken in (K.data[:, 1:], off_grid, -K.data):
+                with pytest.raises(ConfigError):
+                    SparseSystem(K.shape, broken, K.symmetric).validate()
 
 
 def test_transpose_roundtrip():
-    K = from_dense([[2.0, 1.0, 0.0], [0.0, 3.0, -1.0], [0.5, 0.0, 4.0]])
-    np.testing.assert_array_equal(K.transpose().to_dense(), K.to_dense().T)
+    systems = [from_dense([[2.0, 1.0, 0.0], [0.0, 3.0, -1.0], [0.0, 0.5, 4.0]])]
+    for dim, n in ((2, 9), (3, 5)):
+        systems.append(assemble(make_field("nonsym_skew", dim),
+                                build_grid(dim, 1.0, n)))
+    for K in systems:
+        np.testing.assert_array_equal(K.transpose().to_dense(), K.to_dense().T)
