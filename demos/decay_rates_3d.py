@@ -22,8 +22,8 @@ for family in ("identity", "scalar_trig"):
     half = gb.nested_grid(3, 1.0, grid.h)
     print(f"\n=== {family}: {grid.n_interior} unknowns, h = {grid.h:.4f} ===")
     column = gb.green_column(field, grid, grid.center_index)
-    print(f"solved in {column.iterations} CG iterations; "
-          f"peak value {column.values.max():.4f}")
+    print(f"solved in {column.iterations} iterations to residual "
+          f"{column.residual:.1e}; peak value {column.values.max():.4f}")
 
     window = analysis.fit_window(grid)
     spec = analysis.make_annuli(grid, column.source_coords, window)

@@ -181,6 +181,7 @@ def cmd_solve(cfg, args):
     col = green.green_column(field, grid, y, **_solver_kwargs(cfg))
     print(f"nodes            {grid.n_nodes}")
     print(f"iterations       {col.iterations}")
+    print(f"residual         {col.residual:.3g}")
     print(f"max value        {col.values.max():.12g}")
     print(f"min value        {col.values.min():.12g}")
     if args.out:

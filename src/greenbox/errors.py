@@ -10,9 +10,13 @@ class SourcePlacementError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve stopped before reaching the requested residual."""
+    """An iterative solve stopped before reaching the requested residual.
 
-    def __init__(self, message, residual=None, iterations=None):
+    ``history`` holds the recursive residual norm after each iteration.
+    """
+
+    def __init__(self, message, residual=None, iterations=None, history=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.history = history

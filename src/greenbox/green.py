@@ -15,7 +15,9 @@ class GreenColumn:
     """Nodal values of x -> G_h(x, y) for one source node y.
 
     ``values`` covers all grid nodes with zeros on the Dirichlet boundary.
-    ``offset`` records the constant subtracted by normalize_2d (0 otherwise).
+    ``offset`` records the constant subtracted by normalize_2d (0 otherwise);
+    ``iterations`` and ``residual`` (the final true residual norm
+    ||K u - delta_y||_2) come from the solver.
     """
 
     grid: mesh.BoxGrid
@@ -24,6 +26,7 @@ class GreenColumn:
     values: np.ndarray
     offset: float = 0.0
     iterations: int = 0
+    residual: float = 0.0
 
     @property
     def source_coords(self):
@@ -46,7 +49,7 @@ def green_column(field, grid, y, *, system=None, rel_tol=1e-10, max_iter=None):
     u, info = sparse.solve(system, rhs, rel_tol=rel_tol, max_iter=max_iter)
     return GreenColumn(grid=grid, field=field, source=y,
                        values=mesh.expand_interior(grid, u),
-                       iterations=info.iterations)
+                       iterations=info.iterations, residual=info.residual)
 
 
 def normalize_2d(col):
@@ -66,7 +69,7 @@ def normalize_2d(col):
     m = float(col.values[inside].mean())
     return GreenColumn(grid=grid, field=col.field, source=col.source,
                        values=col.values - m, offset=col.offset + m,
-                       iterations=col.iterations)
+                       iterations=col.iterations, residual=col.residual)
 
 
 @dataclass

@@ -15,7 +15,6 @@ import numpy as np
 from . import analysis, fields, green, lift, mesh, sparse
 from .errors import ConfigError
 
-BUILTIN_FAMILIES = ("identity", "scalar_trig", "diag_aniso", "nonsym_skew")
 DECAY_FAMILIES = ("identity", "scalar_trig")
 
 
@@ -244,7 +243,7 @@ def checks_log2d(families=DECAY_FAMILIES, R=4.0, n=129, rel_tol=1e-10,
 # maximum principle: monotone growth in R, 2D additive drift
 # ---------------------------------------------------------------------------
 
-def checks_monotone(families=BUILTIN_FAMILIES, R_list=(1.0, 2.0, 4.0),
+def checks_monotone(families=fields.FAMILIES, R_list=(1.0, 2.0, 4.0),
                     h2=1.0 / 16.0, h3=1.0 / 8.0, rel_tol=1e-10):
     checks = []
     drift_ref = np.log(2.0) / (2.0 * np.pi)
@@ -503,7 +502,7 @@ def checks_lift(R=1.0, n_compare=33, n_exponent=65, kappa_factor=4.0,
 # oracle equivalence: iterative Green matrices against dense inverses
 # ---------------------------------------------------------------------------
 
-def checks_oracle(families=BUILTIN_FAMILIES, rel_tol=1e-10):
+def checks_oracle(families=fields.FAMILIES, rel_tol=1e-10):
     checks = []
     for d, n in ((2, 17), (3, 9)):
         for fam in families:

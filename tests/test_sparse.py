@@ -8,7 +8,7 @@ import pytest
 import greenbox
 from greenbox import (ConfigError, ConvergenceError, SparseSystem, assemble,
                       build_grid, dense_solve, load_delta, make_field, matvec,
-                      solve_general, solve_spd)
+                      solve_general, solve_spd, sparse)
 
 
 def from_dense(mat, symmetric=None):
@@ -155,6 +155,86 @@ def test_column_bitwise_across_blas_threads():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def _interpolation(m):
+    """Dense 1D linear interpolation from (m - 1) / 2 coarse nodes, or I."""
+    if m < 3 or m % 2 == 0:
+        return np.eye(m)
+    P = np.zeros((m, (m - 1) // 2))
+    for J in range(P.shape[1]):
+        P[2 * J:2 * J + 3, J] = (0.5, 1.0, 0.5)
+    return P
+
+
+def test_galerkin_levels_match_dense_triple_product():
+    for dim, n in ((2, 9), (3, 5)):
+        g = build_grid(dim, 1.0, n)
+        for fam in ("scalar_trig", "nonsym_skew"):
+            fine = assemble(make_field(fam, dim), g)
+            assert fine.hierarchy[-1].shape == (1,) * dim
+            for coarse in fine.hierarchy:
+                P = _interpolation(fine.shape[0])
+                for m in fine.shape[1:]:
+                    P = np.kron(P, _interpolation(m))
+                expected = P.T @ fine.to_dense() @ P
+                xc = np.sin(np.arange(coarse.n_rows) + 1.0)
+                np.testing.assert_allclose(sparse.prolong(xc, fine.shape),
+                                           P @ xc, rtol=1e-14, atol=1e-14)
+                x = np.cos(np.arange(fine.n_rows) + 1.0)
+                np.testing.assert_allclose(sparse.restrict(x, fine.shape),
+                                           P.T @ x, rtol=1e-14, atol=1e-14)
+                assert coarse.validate()
+                assert coarse.symmetric == fine.symmetric
+                np.testing.assert_allclose(coarse.to_dense(), expected,
+                                           rtol=1e-12,
+                                           atol=1e-14 * abs(expected).max())
+                fine = coarse
+
+
+def test_poorly_coarsening_systems_match_dense_oracle():
+    rng = np.random.default_rng(0)
+    off = -rng.uniform(0.5, 1.0, 6)
+    tri = np.diag(np.full(7, 3.0)) + np.diag(off, 1) + np.diag(off, -1)
+    g = build_grid(2, 1.0, 7)
+    K2 = assemble(make_field("scalar_trig", 2), g)
+    assert [lv.shape for lv in K2.hierarchy] == [(2, 2)]
+    for K, rhs in ((from_dense(tri), rng.standard_normal(7)),
+                   (K2, load_delta(g, g.center_index))):
+        u, _ = solve_spd(K, rhs)
+        assert np.abs(u - dense_solve(K, rhs)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("dim,n", [(2, 129), (3, 33)])
+def test_multigrid_iterations_per_column(dim, n):
+    g = build_grid(dim, 1.0, n)
+    K = assemble(make_field("scalar_trig", dim), g)
+    _, info = solve_spd(K, load_delta(g, g.center_index))
+    assert info.iterations <= 15
+
+
+def test_hierarchy_built_once_per_system():
+    g = build_grid(2, 1.0, 17)
+    K = assemble(make_field("scalar_trig", 2), g)
+    solve_spd(K, load_delta(g, g.center_index))
+    levels = K.hierarchy
+    solve_general(K, load_delta(g, g.center_index + 1))
+    assert K.hierarchy is levels
+
+
+def test_default_iteration_cap_and_history():
+    g = build_grid(2, 1.0, 17)
+    K = assemble(make_field("identity", 2), g)
+    with pytest.raises(ConvergenceError) as exc:
+        solve_spd(K, load_delta(g, g.center_index), rel_tol=1e-300)
+    assert exc.value.iterations == len(exc.value.history) == 120
+    assert exc.value.history[0] > exc.value.history[5] > 0.0
+    # 2D n = 103 stops coarsening at 50 x 50: the cap grows to 1,100
+    g = build_grid(2, 1.0, 103)
+    K = assemble(make_field("scalar_trig", 2), g)
+    assert K.hierarchy[-1].shape == (50, 50)
+    _, info = solve_spd(K, load_delta(g, g.center_index))
+    assert info.iterations <= 100
 
 
 def test_dense_solve_identity_and_hand_case():
