@@ -97,13 +97,9 @@ def nested_grid(dim, R, h):
 
     The node count must be odd so that the origin is a node and boxes of
     different R share their nodes; raises ConfigError unless 2R/h is an even
-    integer.
+    integer (``mesh.even_steps``).
     """
-    steps = 2.0 * R / h
-    if abs(steps - round(steps)) > 1e-9 or round(steps) % 2 != 0:
-        raise ConfigError(
-            f"spacing {h} does not produce a nested odd grid for R = {R}")
-    return mesh.build_grid(dim, R, int(round(steps)) + 1)
+    return mesh.build_grid(dim, R, mesh.even_steps(R, h) + 1)
 
 
 def domain_growth(field, y_physical, R_list, h, *, rel_tol=1e-10):

@@ -38,7 +38,7 @@ class SlabGrid:
 
     @property
     def n_layers(self):
-        return int(round(2.0 * self.t_half_width / self.h)) + 1
+        return mesh.even_steps(self.t_half_width, self.h) + 1
 
     @cached_property
     def t_axis(self):
@@ -49,10 +49,6 @@ class SlabGrid:
     def shape(self):
         return (self.base.n, self.base.n, self.n_layers)
 
-    @property
-    def n_nodes(self):
-        return self.base.n**2 * self.n_layers
-
     @cached_property
     def axes(self):
         return [self.base.axis, self.base.axis, self.t_axis]
@@ -61,13 +57,10 @@ class SlabGrid:
 def build_slab(base, t_half_width):
     if base.dim != 2:
         raise ConfigError("slab lifting starts from a 2D base grid")
-    steps = 2.0 * t_half_width / base.h
-    if abs(steps - round(steps)) > 1e-9 or round(steps) % 2 != 0:
-        raise ConfigError(
-            "t half-width must be an even multiple of the base spacing")
     slab = SlabGrid(base=base, t_half_width=float(t_half_width))
     if slab.n_layers < 5:
         raise ConfigError("slab needs at least 5 layers")
+    mesh.check_stencil_fits(tuple(s - 2 for s in slab.shape))
     return slab
 
 
@@ -99,7 +92,8 @@ def lifted_column(field, slab, y, *, system=None, rel_tol=1e-10):
     """Green column of the lifted operator with source at (y, t = 0).
 
     ``y`` is a full node index of the base grid.  Returns the solution on
-    the full slab node array of shape ``slab.shape`` (zeros on all faces).
+    the full slab node array of shape ``slab.shape`` (zeros on all faces)
+    and the solver's ``SolveInfo``.
     """
     i1, i2 = np.unravel_index(y, slab.base.shape)
     if not (0 < i1 < slab.base.n - 1 and 0 < i2 < slab.base.n - 1):
@@ -110,10 +104,10 @@ def lifted_column(field, slab, y, *, system=None, rel_tol=1e-10):
     center_layer = (slab.n_layers - 1) // 2
     rhs = np.zeros(system.n_rows)
     rhs[np.ravel_multi_index((i1 - 1, i2 - 1, center_layer - 1), ishape)] = 1.0
-    u, _info = sparse.solve(system, rhs, rel_tol=rel_tol)
+    u, info = sparse.solve(system, rhs, rel_tol=rel_tol)
     full = np.zeros(slab.shape)
     full[1:-1, 1:-1, 1:-1] = u.reshape(ishape)
-    return full
+    return full, info
 
 
 def integrate_t(slab, slab_values, kappa):
@@ -142,7 +136,7 @@ def integrate_t(slab, slab_values, kappa):
 def kappa_integral(field, slab, y, kappa, *, system=None, rel_tol=1e-10):
     """G_kappa(x, y): one lifted solve integrated over t in [-kappa, kappa]."""
     return integrate_t(slab, lifted_column(field, slab, y, system=system,
-                                           rel_tol=rel_tol), kappa)
+                                           rel_tol=rel_tol)[0], kappa)
 
 
 def arctan_kernel(r, kappa):
@@ -162,6 +156,8 @@ class LiftReport:
     kappa_stability: float         # fitted-constant ratio, kappa vs kappa/2
     monotone_in_kappa: bool
     positive: bool
+    slab_iterations: int           # solver stats of the one slab solve
+    slab_residual: float           # final true residual ||K u - delta||_2
 
 
 def compare_lift(field, grid2, slab, y, kappa, *, rel_tol=1e-10):
@@ -175,7 +171,7 @@ def compare_lift(field, grid2, slab, y, kappa, *, rel_tol=1e-10):
     """
     if kappa < 4.0 * grid2.half_width - 1e-12:
         raise ConfigError("kappa must be at least 4 box half-widths")
-    slab_vals = lifted_column(field, slab, y, rel_tol=rel_tol)
+    slab_vals, info = lifted_column(field, slab, y, rel_tol=rel_tol)
     gk = integrate_t(slab, slab_vals, kappa)
     gk_half = integrate_t(slab, slab_vals, kappa / 2.0)
     col = green.green_column(field, grid2, y, rel_tol=rel_tol)
@@ -214,4 +210,5 @@ def compare_lift(field, grid2, slab, y, kappa, *, rel_tol=1e-10):
     return LiftReport(kappa=float(kappa), rel_discrepancy_l2=rel_l2,
                       rel_discrepancy_max=rel_max, decay=decay,
                       kappa_stability=stability, monotone_in_kappa=monotone,
-                      positive=positive)
+                      positive=positive, slab_iterations=info.iterations,
+                      slab_residual=info.residual)

@@ -3,12 +3,15 @@
 Grids are uniform tensor products on [-R, R]^d with homogeneous Dirichlet
 boundary; the discrete operator is assembled from the weak form
 K_ij = int (grad phi_i)^T A grad phi_j with multilinear nodal basis
-functions and tensor 2-point Gauss quadrature, then restricted to interior
-nodes by row/column elimination.
+functions and tensor 2-point Gauss quadrature.  Boundary nodes are
+eliminated: each pair of local element corners adds a shifted sub-box of
+element entries into one row of the 3^d interior-node stencil.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +24,9 @@ from .sparse import SparseSystem, stencil_offsets
 # 2-point Gauss nodes on the reference interval [0, 1]; exact for the
 # bilinear basis with constant coefficients, O(h^2)-consistent for smooth A.
 _GAUSS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+
+# elements per assembly batch, rounded down to whole layers along axis 0
+_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,26 @@ def build_grid(d, R, n):
         raise ConfigError("half-width R must be positive")
     if n < 5 or n % 2 == 0:
         raise ConfigError(f"nodes per axis must be odd and >= 5, got {n}")
+    check_stencil_fits((n - 2,) * d)
     return BoxGrid(d, float(R), int(n))
+
+
+def even_steps(half_width, h):
+    """2 half_width / h, which must be even so that boxes of spacing h nest."""
+    steps = 2.0 * half_width / h
+    if abs(steps - round(steps)) > 1e-9 or round(steps) % 2 != 0:
+        raise ConfigError(
+            f"half-width {half_width} is not a multiple of the spacing {h}")
+    return int(round(steps))
+
+
+def check_stencil_fits(ishape):
+    """Reject an interior shape whose 3^d stencil alone exceeds physical memory."""
+    need = 8 * 3 ** len(ishape) * math.prod(ishape)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"the stencil alone needs {need / 2**30:.1f} GiB, "
+                          f"more than the {have / 2**30:.1f} GiB of memory")
 
 
 def _corner_offsets(d):
@@ -151,60 +176,55 @@ def _reference_rules(d):
     return xi, grad
 
 
-def _assemble_axes(matrix_fn, axes, h, symmetric, chunk=1 << 16):
-    """Assemble the interior-node stiffness matrix on a uniform tensor grid.
+def _assemble_axes(matrix_fn, axes, h, symmetric):
+    """Interior-node stiffness matrix on a uniform tensor grid.
 
-    ``axes`` is a list of per-axis node coordinate arrays with common
-    spacing ``h``; ``matrix_fn`` maps (M, d) points to (M, d, d) coefficient
-    matrices.  Entries are accumulated straight into the (stencil offset,
-    node) storage of ``SparseSystem`` in a fixed order, so the output is
-    independent of any element visit order by construction.
+    ``axes`` holds per-axis node coordinates with common spacing ``h``;
+    ``matrix_fn`` maps (M, d) points to (M, d, d) coefficients.  Elements
+    come in batches of whole layers along axis 0.  Corner c_i of a batch's
+    elements is a shifted sub-box of the nodes, so local corners (i, j) add
+    one element sub-box into the stencil row of offset c_j - c_i, clipped to
+    the elements with both corners interior.  The fixed order (batch, i, j)
+    leaves the output dependent on nothing but the batch size.
     """
     d = len(axes)
-    shape = tuple(len(a) for a in axes)
-    ishape = tuple(s - 2 for s in shape)
-    n_int = int(np.prod(ishape))
+    eshape = tuple(len(a) - 1 for a in axes)
+    ishape = tuple(e - 1 for e in eshape)
     corners = _corner_offsets(d)
     m = corners.shape[0]
     xi, gref = _reference_rules(d)
     nq = xi.shape[0]
-    # pair (i, j) of local corners -> stencil offset id in {0..3^d-1}
     off_id = {tuple(o): k for k, o in enumerate(stencil_offsets(d))}
-    pair_off = np.array([[off_id[tuple(corners[j] - corners[i])]
-                          for j in range(m)] for i in range(m)])
 
     # quadrature contraction tensor: P[(q,k,l), (i,j)]
     pairs = np.einsum("qki,qlj->qklij", gref, gref).reshape(nq * d * d, m * m)
     scale = h ** (d - 2) / (2**d)
 
-    istrides = np.array([int(np.prod(ishape[k + 1:])) for k in range(d)])
-    data = np.zeros((3**d, n_int))
-
-    eshape = tuple(s - 1 for s in shape)
-    n_el = int(np.prod(eshape))
-    lowers = [a[:-1] for a in axes]
-    for start in range(0, n_el, chunk):
-        ids = np.arange(start, min(start + chunk, n_el))
-        emulti = np.stack(np.unravel_index(ids, eshape), axis=-1)  # (ne, d)
-        corner_xy = np.stack([lowers[k][emulti[:, k]] for k in range(d)], axis=-1)
-        qpts = corner_xy[:, None, :] + h * xi[None, :, :]  # (ne, nq, d)
-        amat = matrix_fn(qpts.reshape(-1, d)).reshape(len(ids), nq * d * d)
-        elem = scale * (amat @ pairs)  # (ne, m*m)
-        node_multi = emulti[:, None, :] + corners[None, :, :]  # (ne, m, d)
-        interior = np.all((node_multi >= 1) & (node_multi <= np.array(shape) - 2),
-                          axis=-1)  # (ne, m)
-        int_idx = (node_multi - 1) @ istrides  # valid only where interior
-        for i in range(m):
-            rows_ok = interior[:, i]
-            for j in range(m):
-                keep = rows_ok & interior[:, j]
-                if not keep.any():
+    data = np.zeros((3**d,) + ishape)
+    step = max(1, _BATCH // math.prod(eshape[1:]))
+    for a in range(0, eshape[0], step):
+        start = np.array([a] + [0] * (d - 1))
+        stop = np.array([min(a + step, eshape[0])] + list(eshape[1:]))
+        lows = np.meshgrid(axes[0][a:stop[0]], *[x[:-1] for x in axes[1:]],
+                           indexing="ij", sparse=True)
+        qpts = np.stack(np.broadcast_arrays(
+            *(low[..., None] + h * xi[:, k] for k, low in enumerate(lows))), axis=-1)
+        amat = matrix_fn(qpts.reshape(-1, d)).reshape(-1, nq * d * d)
+        elem = (amat @ pairs).reshape(qpts.shape[:d] + (m * m,))
+        elem *= scale
+        for i, ci in enumerate(corners):
+            for j, cj in enumerate(corners):
+                # elements e of the batch with e + c_i and e + c_j interior
+                lo = np.maximum(1 - np.minimum(ci, cj), start)
+                hi = np.minimum(np.array(eshape) - np.maximum(ci, cj), stop)
+                if lo[0] >= hi[0]:
                     continue
-                # rows are distinct within a fixed local corner, so plain
-                # fancy-index accumulation is exact and order-free
-                data[pair_off[i, j], int_idx[keep, i]] += elem[keep, i * m + j]
+                rows = tuple(slice(l + c - 1, u + c - 1)
+                             for l, u, c in zip(lo, hi, ci))
+                els = tuple(slice(l - s, u - s) for l, u, s in zip(lo, hi, start))
+                data[(off_id[tuple(cj - ci)],) + rows] += elem[els + (i * m + j,)]
 
-    return SparseSystem(ishape, data, symmetric)
+    return SparseSystem(ishape, data.reshape(3**d, -1), symmetric)
 
 
 def assemble(field, grid):
@@ -247,12 +267,7 @@ def gradient_field(values, grid):
     data; second-order accurate on smooth fields away from singularities.
     Returns an (n_nodes, d) array.
     """
-    return gradient_on_axes(values, [grid.axis] * grid.dim, grid.h)
-
-
-def gradient_on_axes(values, axes, h):
-    d = len(axes)
-    shape = tuple(len(a) for a in axes)
+    d, shape, h = grid.dim, grid.shape, grid.h
     v = np.asarray(values, dtype=float).reshape(shape)
     cell_grad = []
     for k in range(d):

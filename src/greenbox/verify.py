@@ -39,6 +39,36 @@ def _profile(values, grid, y_coords, window, count=9, eta=analysis.DEFAULT_ETA):
     return spec, analysis.annulus_average(values, grid, spec)
 
 
+def _power_check(name, anchor, values, col, window, quantity, exponent, tol,
+                 radii_count, eta):
+    """Judge the fitted exponent of the shell means of ``values``."""
+    spec, stats = _profile(values, col.grid, col.source_coords, window,
+                           count=radii_count, eta=eta)
+    rep = analysis.fit_power_decay(spec.radii, stats, window, quantity)
+    return Check(
+        name=name, anchor=anchor,
+        passed=_within(rep.fitted_exponent, exponent, tol),
+        measured={"exponent": rep.fitted_exponent,
+                  "constant": rep.fitted_constant,
+                  "radii": list(rep.radii),
+                  "annulus_stats": list(rep.annulus_stats)},
+        expected={"exponent": exponent, "tol": tol})
+
+
+def _interior_ratios(col):
+    """Gradient-over-value ratios at the dyadic radii 8h (ball centred 12h
+    along axis 0) and 16h (which only fits centred 14h along the diagonal).
+    """
+    grid, d, h = col.grid, col.grid.dim, col.grid.h
+    x_axis = grid.node_at(col.source_coords + 12 * h * np.eye(d)[0])
+    x_diag = grid.node_at(col.source_coords + 14 * h * np.ones(d))
+    ratios = [analysis.lipschitz_ratio_check(col, [x_axis]).records[0][2],
+              analysis.lipschitz_ratio_check(
+                  col, [x_diag], r_fractions=(16.0 / (14.0 * np.sqrt(d)),)
+              ).records[0][2]]
+    return {"ratios": ratios, "variation": max(ratios) / min(ratios)}
+
+
 # ---------------------------------------------------------------------------
 # decay suite, d = 3: |G| ~ r^{2-d}, |grad G| ~ r^{1-d}, interior ratios
 # ---------------------------------------------------------------------------
@@ -111,36 +141,16 @@ def checks_decay3d(families=DECAY_FAMILIES, R=2.0, n=65, rel_tol=1e-10,
             details="two-parameter fit with the exponent pinned at 2-d"))
 
         gmag = np.linalg.norm(mesh.gradient_field(col.values, grid), axis=1)
-        gspec, gstats = _profile(gmag, grid, col.source_coords, window,
-                                 count=radii_count, eta=eta)
-        grep = analysis.fit_power_decay(gspec.radii, gstats, window, "grad_x")
-        checks.append(Check(
-            name=f"decay3d.grad.{fam}",
-            anchor="|grad_x G(x,y)| <= C |x-y|^(1-d)",
-            passed=_within(grep.fitted_exponent, -2.0, 0.15),
-            measured={"exponent": grep.fitted_exponent,
-                      "constant": grep.fitted_constant,
-                      "radii": list(grep.radii),
-                      "annulus_stats": list(grep.annulus_stats)},
-            expected={"exponent": -2.0, "tol": 0.15}))
+        checks.append(_power_check(
+            f"decay3d.grad.{fam}", "|grad_x G(x,y)| <= C |x-y|^(1-d)", gmag,
+            col, window, "grad_x", -2.0, 0.15, radii_count, eta))
 
-        # interior gradient-over-value ratio at dyadic radii 8h, 16h; the
-        # 16h ball only fits inside the box with its center on the diagonal
-        h = grid.h
-        x_axis = grid.node_at(col.source_coords + np.array([12 * h, 0, 0]))
-        x_diag = grid.node_at(col.source_coords + 14 * h * np.ones(3))
-        frac_diag = 16.0 / (14.0 * np.sqrt(3.0))
-        ratio = analysis.lipschitz_ratio_check(col, [x_axis])
-        ratio_d = analysis.lipschitz_ratio_check(col, [x_diag],
-                                                 r_fractions=(frac_diag,))
-        ratios = [ratio.records[0][2], ratio_d.records[0][2]]
-        variation = max(ratios) / min(ratios)
-        meas = {"ratios": ratios, "variation": variation}
-        ok = variation < 4.0
+        meas = _interior_ratios(col)
+        ok = meas["variation"] < 4.0
         if fam == "identity":
-            rho, r = 12 * h, 8 * h
+            rho, r = 12 * grid.h, 8 * grid.h
             exact = r * (rho - r) / (rho - r / 2) ** 2
-            rel = ratios[0] / exact - 1.0
+            rel = meas["ratios"][0] / exact - 1.0
             meas["analytic_rel_err"] = rel
             ok = ok and abs(rel) <= 0.15
         checks.append(Check(
@@ -193,48 +203,23 @@ def checks_log2d(families=DECAY_FAMILIES, R=4.0, n=129, rel_tol=1e-10,
 
         window_p = analysis.fit_window(grid)
         gmag = np.linalg.norm(mesh.gradient_field(col.values, grid), axis=1)
-        gspec, gstats = _profile(gmag, grid, col.source_coords, window_p,
-                                 count=radii_count, eta=eta)
-        grep = analysis.fit_power_decay(gspec.radii, gstats, window_p, "grad_x")
-        checks.append(Check(
-            name=f"log2d.grad.{fam}",
-            anchor="|grad_x G(x,y)| <= C |x-y|^(1-d)",
-            passed=_within(grep.fitted_exponent, -1.0, 0.15),
-            measured={"exponent": grep.fitted_exponent,
-                      "constant": grep.fitted_constant,
-                      "radii": list(grep.radii),
-                      "annulus_stats": list(grep.annulus_stats)},
-            expected={"exponent": -1.0, "tol": 0.15}))
+        checks.append(_power_check(
+            f"log2d.grad.{fam}", "|grad_x G(x,y)| <= C |x-y|^(1-d)", gmag,
+            col, window_p, "grad_x", -1.0, 0.15, radii_count, eta))
 
         tensor = green.mixed_derivative(field, grid, grid.center_index,
                                         system=system, rel_tol=rel_tol)
         tmag = np.sqrt((tensor**2).sum(axis=(1, 2)))
-        tspec, tstats = _profile(tmag, grid, col.source_coords, window_p,
-                                 count=radii_count, eta=eta)
-        trep = analysis.fit_power_decay(tspec.radii, tstats, window_p, "mixed")
-        checks.append(Check(
-            name=f"log2d.mixed.{fam}",
-            anchor="|grad_x grad_y G(x,y)| <= C |x-y|^(-d)",
-            passed=_within(trep.fitted_exponent, -2.0, 0.2),
-            measured={"exponent": trep.fitted_exponent,
-                      "constant": trep.fitted_constant,
-                      "radii": list(trep.radii),
-                      "annulus_stats": list(trep.annulus_stats)},
-            expected={"exponent": -2.0, "tol": 0.2}))
+        checks.append(_power_check(
+            f"log2d.mixed.{fam}", "|grad_x grad_y G(x,y)| <= C |x-y|^(-d)",
+            tmag, col, window_p, "mixed", -2.0, 0.2, radii_count, eta))
 
-        h = grid.h
-        x_axis = grid.node_at(col.source_coords + np.array([12 * h, 0]))
-        x_diag = grid.node_at(col.source_coords + 14 * h * np.ones(2))
-        ratio = analysis.lipschitz_ratio_check(col, [x_axis])
-        ratio_d = analysis.lipschitz_ratio_check(
-            col, [x_diag], r_fractions=(16.0 / (14.0 * np.sqrt(2.0)),))
-        ratios = [ratio.records[0][2], ratio_d.records[0][2]]
-        variation = max(ratios) / min(ratios)
+        meas = _interior_ratios(col)
         checks.append(Check(
             name=f"log2d.ratio.{fam}",
             anchor="r sup_{B_{r/2}} |grad G| <= C sup_{B_r} |G|",
-            passed=variation < 4.0,
-            measured={"ratios": ratios, "variation": variation},
+            passed=meas["variation"] < 4.0,
+            measured=meas,
             expected={"variation_factor": 4.0}))
     return checks
 
@@ -476,7 +461,9 @@ def checks_lift(R=1.0, n_compare=33, n_exponent=65, kappa_factor=4.0,
             measured={"rel_l2": rep.rel_discrepancy_l2,
                       "rel_max": rep.rel_discrepancy_max,
                       "positive": rep.positive,
-                      "monotone_in_kappa": rep.monotone_in_kappa},
+                      "monotone_in_kappa": rep.monotone_in_kappa,
+                      "slab_iterations": rep.slab_iterations,
+                      "slab_residual": rep.slab_residual},
             expected={"rel_l2": tol},
             details=f"kappa = {kappa}, base n = {n_compare}"))
 
@@ -492,7 +479,9 @@ def checks_lift(R=1.0, n_compare=33, n_exponent=65, kappa_factor=4.0,
                 and rep.kappa_stability < 1.25),
         measured={"exponent": rep.decay.fitted_exponent,
                   "constant": rep.decay.fitted_constant,
-                  "kappa_stability": rep.kappa_stability},
+                  "kappa_stability": rep.kappa_stability,
+                  "slab_iterations": rep.slab_iterations,
+                  "slab_residual": rep.slab_residual},
         expected={"exponent": -1.0, "tol": 0.2, "stability": 1.25},
         details=f"base n = {n_exponent} (window needs 4h < R/4)"))
     return checks

@@ -131,6 +131,17 @@ def test_cli_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_cli_oversized_grid_rejected_before_allocation(tmp_path, capsys,
+                                                      monkeypatch):
+    def allocating(*args, **kwargs):
+        pytest.fail("the oversized grid reached the solver")
+    monkeypatch.setattr(green, "green_column", allocating)
+    cfg = write(tmp_path / "solve.cfg", "family = identity\ndim = 3\nn = 2001\n")
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "stencil" in err
+
+
 def test_cli_unknown_preset_exit_2():
     assert main(["verify", "--preset", "no-such-thing"]) == 2
 

@@ -45,7 +45,8 @@ def test_kappa_positivity_and_monotonicity():
     f = make_field("scalar_trig", 2)
     base = build_grid(2, 1.0, 17)
     slab = build_slab(base, 2.0)
-    vals = lifted_column(f, slab, base.center_index)
+    vals, info = lifted_column(f, slab, base.center_index)
+    assert 0 < info.iterations <= 20 and info.residual <= 1e-9
     g1 = integrate_t(slab, vals, 1.0)
     g2 = integrate_t(slab, vals, 2.0)
     assert g1.min() >= -1e-12 * g1.max()
@@ -90,6 +91,7 @@ def test_compare_lift_small():
     assert rep.positive and rep.monotone_in_kappa
     assert rep.rel_discrepancy_l2 <= 0.15
     assert rep.decay is None  # 4h = R/4 leaves no room for shells
+    assert 0 < rep.slab_iterations <= 20 and rep.slab_residual <= 1e-9
 
 
 def test_compare_lift_requires_large_kappa():

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from greenbox import (ConfigError, SourcePlacementError, assemble, build_grid,
-                      gradient_field, load_delta, make_field, transpose_field)
+                      fields, gradient_field, load_delta, make_field, mesh,
+                      transpose_field)
+from greenbox.lift import assemble_lifted, build_slab
 from greenbox.sparse import stencil_offsets
 
 # reference Q1 stiffness of -Laplace on a unit square, corners in C order
@@ -171,3 +175,96 @@ def test_gradient_bilinear_monomial():
     np.testing.assert_allclose(grad[interior, 1], x[interior, 0], atol=1e-12)
     # boundary nodes average one-sided cells: O(h) there
     assert np.abs(grad[:, 0] - x[:, 1]).max() <= g.h
+
+
+def test_oversized_grid_and_slab_rejected_before_allocation():
+    # 1999^3 unknowns need 27 * 8 bytes each, about 1.6 TiB of stencil
+    with pytest.raises(ConfigError, match="stencil"):
+        build_grid(3, 1.0, 2001)
+    with pytest.raises(ConfigError, match="stencil"):
+        build_slab(build_grid(2, 1.0, 2001), 1.0)
+
+
+def _lifted(field):
+    def matrix_fn(pts):
+        out = np.zeros((len(pts), 3, 3))
+        out[:, :2, :2] = fields.evaluate(field, pts[:, :2])
+        out[:, 2, 2] = 1.0
+        return out
+    return matrix_fn
+
+
+def _element_reference(matrix_fn, axes, h):
+    """Dense interior stiffness scattered element by element in plain loops."""
+    d = len(axes)
+    ishape = tuple(len(a) - 2 for a in axes)
+    xi, gref = mesh._reference_rules(d)
+    corners = mesh._corner_offsets(d)
+    dense = np.zeros((math.prod(ishape),) * 2)
+    for e in np.ndindex(*(len(a) - 1 for a in axes)):
+        lower = np.array([axes[k][e[k]] for k in range(d)])
+        amat = matrix_fn(lower + h * xi)  # coefficient at the Gauss points
+        # int grad phi_i . A grad phi_j: weights 2^-d, Jacobian h^d / h^2
+        ke = np.einsum("qki,qkl,qlj->ij", gref, amat, gref) * h ** (d - 2) / 2**d
+        nodes = [np.array(e) + c - 1 for c in corners]  # interior multi-index
+        for i, ni in enumerate(nodes):
+            for j, nj in enumerate(nodes):
+                if all(0 <= v < s for v, s in zip(np.r_[ni, nj], ishape * 2)):
+                    dense[np.ravel_multi_index(ni, ishape),
+                          np.ravel_multi_index(nj, ishape)] += ke[i, j]
+    return dense
+
+
+def _assert_matches(K, ref):
+    assert K.validate()  # off-grid stencil entries stay exactly zero
+    assert np.abs(ref).max() > 0
+    assert np.abs(K.to_dense() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim,n", [(2, 7), (3, 5)])
+@pytest.mark.parametrize("family",
+                         ["identity", "scalar_trig", "diag_aniso", "nonsym_skew"])
+def test_assembler_matches_element_reference(dim, n, family):
+    g = build_grid(dim, 1.0, n)
+    f = make_field(family, dim)
+    _assert_matches(assemble(f, g), _element_reference(
+        lambda pts: fields.evaluate(f, pts), [g.axis] * dim, g.h))
+
+
+@pytest.mark.parametrize("family", ["scalar_trig", "nonsym_skew"])
+def test_lifted_assembler_matches_element_reference(family):
+    slab = build_slab(build_grid(2, 1.0, 7), 2.0)
+    assert slab.shape == (7, 7, 13)
+    f = make_field(family, 2)
+    _assert_matches(assemble_lifted(f, slab),
+                    _element_reference(_lifted(f), slab.axes, slab.h))
+
+
+@pytest.mark.parametrize("lengths", [(6, 9), (5, 4, 7)])
+def test_assembler_nonsymmetric_variable_coefficient(lengths):
+    # the families' only nonsymmetric part is a constant skew matrix, which
+    # drops out of the global matrix; this coefficient does not, so a
+    # transposed element matrix or offset would show
+    def matrix_fn(pts):
+        out = np.zeros(pts.shape + (pts.shape[1],))
+        for k in range(pts.shape[1]):
+            out[:, k, k] = 2.0 + np.cos(pts[:, k])
+            out[:, k, (k + 1) % pts.shape[1]] += pts[:, k] * pts[:, -1]
+        return out
+    h = 0.3
+    axes = [h * np.arange(n) - 0.7 for n in lengths]
+    K = mesh._assemble_axes(matrix_fn, axes, h, symmetric=False)
+    ref = _element_reference(matrix_fn, axes, h)
+    assert np.abs(ref - ref.T).max() > 1e-3 * np.abs(ref).max()
+    _assert_matches(K, ref)
+
+
+def test_batch_seams_match_single_batch(monkeypatch):
+    g = build_grid(3, 1.0, 9)
+    slab = build_slab(build_grid(2, 1.0, 7), 2.0)
+    f2, f3 = make_field("nonsym_skew", 2), make_field("scalar_trig", 3)
+    whole = [assemble(f3, g).data, assemble_lifted(f2, slab).data]
+    monkeypatch.setattr(mesh, "_BATCH", 1)  # one element layer per batch
+    seamed = [assemble(f3, g).data, assemble_lifted(f2, slab).data]
+    for a, b in zip(seamed, whole):
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
