@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import green as green_mod
-from . import mesh, sparse
+from . import mesh
 from .errors import ConfigError
 
 DEFAULT_ETA = 0.1
@@ -177,11 +177,8 @@ class DecayReport:
     rms_log_residual: float
 
 
-def fit_power_decay(radii, stats, window, quantity="G"):
-    """OLS of log f(r) on log r over the radii inside ``window``.
-
-    fitted_constant = exp(intercept), so stats ~ constant * r^exponent.
-    """
+def _fit_points(radii, stats, window):
+    """Radii inside ``window`` and their statistics, checked positive."""
     radii = np.asarray(radii, dtype=float)
     stats = np.asarray(stats, dtype=float)
     r_min, r_max = window
@@ -193,13 +190,22 @@ def fit_power_decay(radii, stats, window, quantity="G"):
     r, f = radii[keep], stats[keep]
     if np.any(f <= 0.0):
         raise ConfigError("nonpositive annulus statistic inside the window")
+    return r, f
+
+
+def fit_power_decay(radii, stats, window, quantity="G"):
+    """OLS of log f(r) on log r over the radii inside ``window``.
+
+    fitted_constant = exp(intercept), so stats ~ constant * r^exponent.
+    """
+    r, f = _fit_points(radii, stats, window)
     x, y = np.log(r), np.log(f)
     slope, intercept = np.polyfit(x, y, 1)
     rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return DecayReport(quantity=quantity, radii=tuple(r), annulus_stats=tuple(f),
                        fitted_exponent=float(slope),
                        fitted_constant=float(np.exp(intercept)),
-                       fit_window=(float(r_min), float(r_max)),
+                       fit_window=tuple(float(w) for w in window),
                        rms_log_residual=rms)
 
 
@@ -228,24 +234,14 @@ class LogGrowthReport:
 
 def fit_log_growth(radii, stats, window):
     """OLS of f(r) on 1 + |log r|; a bounded slope certifies the 2D bound."""
-    radii = np.asarray(radii, dtype=float)
-    stats = np.asarray(stats, dtype=float)
-    r_min, r_max = window
-    keep = (radii >= r_min * (1 - 1e-12)) & (radii <= r_max * (1 + 1e-12))
-    if keep.sum() < MIN_FIT_RADII:
-        raise ConfigError(
-            f"need at least {MIN_FIT_RADII} radii inside the window, "
-            f"got {int(keep.sum())}")
-    r, f = radii[keep], stats[keep]
-    if np.any(f <= 0.0):
-        raise ConfigError("nonpositive annulus statistic inside the window")
+    r, f = _fit_points(radii, stats, window)
     x = 1.0 + np.abs(np.log(r))
     slope, intercept = np.polyfit(x, f, 1)
     rms = float(np.sqrt(np.mean((f - (slope * x + intercept)) ** 2)))
     return LogGrowthReport(radii=tuple(r), annulus_stats=tuple(f),
                            slope=float(slope), intercept=float(intercept),
                            rms_residual=rms,
-                           fit_window=(float(r_min), float(r_max)))
+                           fit_window=tuple(float(w) for w in window))
 
 
 @dataclass
@@ -295,56 +291,6 @@ def lipschitz_ratio_check(col, x_list, r_fractions=(2.0 / 3.0,)):
     lo, hi = min(max_per_r.values()), max(max_per_r.values())
     return RatioReport(records=records, max_ratio=hi, variation=hi / lo,
                        bounded=hi / lo < 4.0)
-
-
-@dataclass
-class LocalSupReport:
-    radii: tuple
-    sup_values: tuple
-    l2_values: tuple
-    constants: tuple
-    variation: float
-    passed: bool
-
-
-def local_sup_check(system, values, grid, y, radii=None, tol=1e-8):
-    """sup over B_{2R}(y) \\ B_R(y) against (C/R) ||v||_{L2} on the annulus.
-
-    ``values`` must be discretely harmonic there (residual of K v below
-    ``tol`` relative to diag * sup|v| on rows interior to the annulus,
-    source row excluded by the geometry).  Reports the empirical constant
-    per dyadic R and PASS when it varies by less than a factor 4.
-    """
-    if radii is None:
-        r0 = max(4.0 * grid.h, grid.half_width / 16.0)
-        radii = []
-        r = r0
-        while 2.0 * r <= grid.half_width * (1 - 1e-12):
-            radii.append(r)
-            r *= 2.0
-    if len(radii) < 1:
-        raise ConfigError("no admissible annulus radii")
-    interior_vals = np.asarray(values)[grid.interior_ids]
-    resid = sparse.matvec(system, interior_vals)
-    dist_int = grid.distances_from(y)[grid.interior_ids]
-    scale = float(system.diagonal().max() * np.abs(values).max())
-    sups, l2s, consts = [], [], []
-    for R in radii:
-        ann = (dist_int >= R) & (dist_int <= 2.0 * R)
-        if not ann.any():
-            raise ConfigError(f"empty annulus at R = {R:g}")
-        if np.abs(resid[ann]).max() > tol * scale:
-            raise ConfigError(
-                f"values are not discretely harmonic on the annulus R = {R:g}")
-        sup = float(np.abs(interior_vals[ann]).max())
-        l2 = float(np.sqrt((interior_vals[ann] ** 2).sum() * grid.h**grid.dim))
-        sups.append(sup)
-        l2s.append(l2)
-        consts.append(sup * R / l2)
-    variation = max(consts) / min(consts)
-    return LocalSupReport(radii=tuple(radii), sup_values=tuple(sups),
-                          l2_values=tuple(l2s), constants=tuple(consts),
-                          variation=variation, passed=variation < 4.0)
 
 
 @dataclass

@@ -1,12 +1,11 @@
 """Command-line front end.
 
-Verbs: field-info, solve, decay, lorentz, lift, verify, dump.
-Flags: --config <path>, --preset <name>, --out <dir>, --seed <int>,
---threads <int>.
+Verbs: field-info, solve, dump, verify, and the check aliases decay, lorentz
+and lift.  Flags: --config <path>, --preset <name>, --out <dir>, --seed <int>.
 
 Configs are flat ``key = value`` text files ('#' starts a comment).  The
-``verify`` verb writes a JSON report and exits 0 when every check passed,
-1 when a violation was found, and 2 on usage or configuration errors.
+check verbs write a JSON report and exit 0 when every check passed, 1 when
+a violation was found, and 2 on usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -69,17 +68,19 @@ def _field_from_config(cfg):
     return field
 
 
-def _grid_from_config(cfg, field):
+def _column_from_config(cfg):
+    """Green column of the configured field, grid, source and solver."""
+    field = _field_from_config(cfg)
     R = float(cfg.get("R", 2.0 if field.dim == 3 else 4.0))
     n = int(cfg.get("n", 65 if field.dim == 3 else 129))
-    return mesh.build_grid(field.dim, R, n)
-
-
-def _source_index(cfg, grid):
+    grid = mesh.build_grid(field.dim, R, n)
+    y = grid.center_index
     if cfg.get("source"):
-        point = [float(c) for c in cfg["source"].split(",")]
-        return grid.node_at(point)
-    return grid.center_index
+        y = grid.node_at([float(c) for c in cfg["source"].split(",")])
+    kwargs = {"rel_tol": float(cfg.get("rel_tol", 1e-10))}
+    if cfg.get("max_iter"):
+        kwargs["max_iter"] = int(cfg["max_iter"])
+    return green.green_column(field, grid, y, **kwargs)
 
 
 def write_atomic(path, text):
@@ -118,38 +119,26 @@ def dump_field(values, grid, path):
     return path
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
-    return obj
+def _json_default(obj):
+    """numpy arrays and scalars as their Python equivalents."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def write_report(checks, elapsed, out_dir, preset=None, filename="report.json"):
+def write_report(checks, elapsed, out_dir, preset):
     report = {
         "artifact": "greenbox",
         "version": __version__,
         "preset": preset,
         "runtime_seconds": elapsed,
-        "checks": [_json_ready(dataclasses.asdict(c)) for c in checks],
+        "checks": [dataclasses.asdict(c) for c in checks],
         "overall_pass": all(c.passed for c in checks),
     }
-    path = os.path.join(out_dir, filename)
-    write_atomic(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    path = os.path.join(out_dir, "report.json")
+    write_atomic(path, json.dumps(report, indent=2, sort_keys=True,
+                                  default=_json_default) + "\n")
     return report, path
-
-
-def _print_checks(checks):
-    for c in checks:
-        mark = "PASS" if c.passed else "FAIL"
-        print(f"[{mark}] {c.name}  --  {c.anchor}")
 
 
 def cmd_field_info(cfg, args):
@@ -167,25 +156,16 @@ def cmd_field_info(cfg, args):
     return 0 if periodic else 1
 
 
-def _solver_kwargs(cfg):
-    out = {"rel_tol": float(cfg.get("rel_tol", 1e-10))}
-    if cfg.get("max_iter"):
-        out["max_iter"] = int(cfg["max_iter"])
-    return out
-
-
 def cmd_solve(cfg, args):
-    field = _field_from_config(cfg)
-    grid = _grid_from_config(cfg, field)
-    y = _source_index(cfg, grid)
-    col = green.green_column(field, grid, y, **_solver_kwargs(cfg))
-    print(f"nodes            {grid.n_nodes}")
+    col = _column_from_config(cfg)
+    print(f"nodes            {col.grid.n_nodes}")
     print(f"iterations       {col.iterations}")
     print(f"residual         {col.residual:.3g}")
     print(f"max value        {col.values.max():.12g}")
     print(f"min value        {col.values.min():.12g}")
     if args.out:
-        path = dump_field(col.values, grid, os.path.join(args.out, "green.csv"))
+        path = dump_field(col.values, col.grid,
+                          os.path.join(args.out, "green.csv"))
         print(f"wrote            {path}")
     return 0
 
@@ -193,77 +173,56 @@ def cmd_solve(cfg, args):
 def cmd_dump(cfg, args):
     if not args.out:
         raise ConfigError("dump requires --out <dir>")
-    field = _field_from_config(cfg)
-    grid = _grid_from_config(cfg, field)
-    y = _source_index(cfg, grid)
-    col = green.green_column(field, grid, y, **_solver_kwargs(cfg))
+    col = _column_from_config(cfg)
     quantity = cfg.get("quantity", "green")
     if quantity == "green":
         values = col.values
     elif quantity == "gradient_magnitude":
-        values = np.linalg.norm(mesh.gradient_field(col.values, grid), axis=1)
+        values = np.linalg.norm(mesh.gradient_field(col.values, col.grid),
+                                axis=1)
     else:
         raise ConfigError(f"unknown dump quantity {quantity!r}")
-    path = dump_field(values, grid, os.path.join(args.out, f"{quantity}.csv"))
+    path = dump_field(values, col.grid,
+                      os.path.join(args.out, f"{quantity}.csv"))
     print(f"wrote            {path}")
     return 0
 
 
-def _run_checks(run, out_dir, filename, preset=None):
-    """Time ``run()``, print its checks and report them when out_dir is set.
-
-    Returns the exit code: 0 when every check passed, 1 otherwise.
-    """
-    t0 = time.perf_counter()
-    checks = run()
-    elapsed = time.perf_counter() - t0
-    _print_checks(checks)
-    if out_dir:
-        _, path = write_report(checks, elapsed, out_dir, preset=preset,
-                               filename=filename)
-        print(f"report           {path}")
-    return 0 if all(c.passed for c in checks) else 1
-
-
-def cmd_decay(cfg, args):
-    dim = int(cfg.get("dim", 3))
-    runner = verify.checks_decay3d if dim == 3 else verify.checks_log2d
-    kwargs = {"rel_tol": float(cfg.get("rel_tol", 1e-10))}
-    if cfg.get("family"):
-        kwargs["families"] = tuple(f.strip()
-                                   for f in cfg["family"].split(","))
-    for key, cast in (("R", float), ("n", int), ("eta", float),
-                      ("radii_count", int)):
-        if cfg.get(key):
-            kwargs[key] = cast(cfg[key])
-    return _run_checks(lambda: runner(**kwargs), args.out, "decay.json")
-
-
-def cmd_lorentz(cfg, args):
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    return _run_checks(lambda: verify.checks_lorentz(seed=seed), args.out,
-                       "lorentz.json")
-
-
-def cmd_lift(cfg, args):
-    return _run_checks(lambda: verify.run_preset("lift")[0], args.out,
-                       "lift.json", preset="lift")
-
-
 def cmd_verify(cfg, args):
-    name = str(args.preset or (cfg.get("experiments", "all") if cfg else "all"))
-    return _run_checks(
-        lambda: [c for part in name.split(",")
-                 for c in verify.run_preset(part.strip())[0]],
-        args.out or ".", "report.json", preset=name)
+    """Run presets with the config's run keys and write ``report.json``.
+
+    lorentz and lift run their presets; decay runs decay3d, or log2d at dim 2.
+    """
+    if args.command == "decay":
+        spec = "decay3d" if int(cfg.get("dim", 3)) == 3 else "log2d"
+    elif args.command == "verify":
+        spec = args.preset or cfg.get("experiments", "all")
+    else:
+        spec = args.command
+    overrides = {key: cast(cfg[key]) for key, cast in (
+        ("R", float), ("n", int), ("rel_tol", float), ("eta", float),
+        ("radii_count", int), ("seed", int)) if cfg.get(key)}
+    if cfg.get("family"):
+        overrides["families"] = tuple(f.strip()
+                                      for f in cfg["family"].split(","))
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    t0 = time.perf_counter()
+    checks = verify.run_preset(spec, **overrides)
+    elapsed = time.perf_counter() - t0
+    for c in checks:
+        print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}  --  {c.anchor}")
+    report, path = write_report(checks, elapsed, args.out or ".", spec)
+    print(f"report           {path}")
+    return 0 if report["overall_pass"] else 1
 
 
 COMMANDS = {
     "field-info": cmd_field_info,
     "solve": cmd_solve,
-    "decay": cmd_decay,
-    "lorentz": cmd_lorentz,
-    "lift": cmd_lift,
+    "decay": cmd_verify,
+    "lorentz": cmd_verify,
+    "lift": cmd_verify,
     "verify": cmd_verify,
     "dump": cmd_dump,
 }
@@ -276,13 +235,10 @@ def make_parser():
                     "operators: solvers and decay/norm verification.")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--preset", help="named experiment preset "
-                        f"(one of: {', '.join(sorted(verify.PRESETS))}, all)")
+    parser.add_argument("--preset", help="comma-separated presets "
+                        f"(of: {', '.join(verify.PRESETS)}, all)")
     parser.add_argument("--out", help="output directory for reports/dumps")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; execution is "
-                             "single-threaded and deterministic")
     return parser
 
 

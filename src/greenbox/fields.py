@@ -78,8 +78,10 @@ def make_field(family, dim=2, params=None):
         params = (b_1..b_d, m_1..m_d), default bases (2, 3[, 2.5]) and
         amplitudes 0.25.
     nonsym_skew
-        A = I + s J with J the rotation generator in the (x1, x2) plane;
-        constant in x.  params = (s,), default (0.3,).
+        A(x) = I + s(x) J with J the rotation generator in the (x1, x2)
+        plane and s(x) = s (1 + sin(2 pi x1) cos(2 pi x2)).  The skew part
+        varies, so it does not integrate out of the stiffness matrix.
+        params = (s,), default (0.3,).
     """
     if params is not None:
         params = tuple(float(p) for p in params)
@@ -114,7 +116,7 @@ def make_field(family, dim=2, params=None):
         if len(params) != 1:
             raise ConfigError("nonsym_skew expects params (s,)")
         return PeriodicField(dim, family, params, alpha=1.0,
-                             bound=max(1.0, abs(params[0])))
+                             bound=max(1.0, 2.0 * abs(params[0])))
     raise ConfigError(f"unknown field family {family!r}")
 
 
@@ -145,11 +147,12 @@ def evaluate(field, points):
             out[..., i, i] = bases[i] + amps[i] * np.sin(_TWO_PI * pts[..., (i + 1) % d])
         return out
     if field.family == "nonsym_skew":
-        s = field.params[0]
-        mat = np.eye(d)
-        mat[0, 1] += s
-        mat[1, 0] -= s
-        return np.broadcast_to(mat, lead + (d, d)).copy()
+        s = field.params[0] * (1.0 + np.sin(_TWO_PI * pts[..., 0])
+                               * np.cos(_TWO_PI * pts[..., 1]))
+        out = np.broadcast_to(eye, lead + (d, d)).copy()
+        out[..., 0, 1] += s
+        out[..., 1, 0] -= s
+        return out
     raise ConfigError(f"unknown field family {field.family!r}")
 
 

@@ -133,12 +133,6 @@ def integrate_t(slab, slab_values, kappa):
             @ weights).reshape(-1)
 
 
-def kappa_integral(field, slab, y, kappa, *, system=None, rel_tol=1e-10):
-    """G_kappa(x, y): one lifted solve integrated over t in [-kappa, kappa]."""
-    return integrate_t(slab, lifted_column(field, slab, y, system=system,
-                                           rel_tol=rel_tol)[0], kappa)
-
-
 def arctan_kernel(r, kappa):
     """Closed form of int_{-kappa}^{kappa} dt / (r^2 + t^2) = (2/r) atan(kappa/r).
 

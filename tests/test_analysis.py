@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from greenbox import (ConfigError, assemble, build_grid, green_column,
-                      make_field)
+from greenbox import ConfigError, build_grid, green_column, make_field
 from greenbox.analysis import (AnnulusSpec, annulus_average,
                                embedding_constant,
                                embedding_constant_inverted_prefactor,
                                fit_log_growth, fit_power_decay,
                                fit_two_box_decay, fit_window,
                                lebesgue_norm, lipschitz_ratio_check,
-                               local_sup_check, lorentz_sandwich_check,
+                               lorentz_sandwich_check,
                                make_annuli, uniform_bound_check,
                                weak_lorentz_norm)
 
@@ -211,35 +210,6 @@ def test_ratio_preconditions():
     edge = [g.node_at((g.half_width - g.h, 0.0))]
     with pytest.raises(ConfigError):
         lipschitz_ratio_check(col, edge, r_fractions=(0.9,))
-
-
-def test_local_sup_constant_field():
-    g = build_grid(2, 2.0, 65)
-    f = make_field("identity", 2)
-    K = assemble(f, g)
-    vals = np.full(g.n_nodes, 4.0)
-    rep = local_sup_check(K, vals, g, g.center_index, radii=[0.25])
-    assert rep.passed
-    assert rep.sup_values[0] == pytest.approx(4.0)
-
-
-def test_local_sup_green_column():
-    g = build_grid(2, 2.0, 65)
-    f = make_field("scalar_trig", 2)
-    K = assemble(f, g)
-    col = green_column(f, g, g.center_index, system=K)
-    rep = local_sup_check(K, col.values, g, col.source)
-    assert rep.passed
-    assert len(rep.radii) >= 2
-
-
-def test_local_sup_rejects_non_harmonic():
-    g = build_grid(2, 2.0, 33)
-    f = make_field("identity", 2)
-    K = assemble(f, g)
-    vals = np.random.default_rng(3).normal(size=g.n_nodes)
-    with pytest.raises(ConfigError):
-        local_sup_check(K, vals, g, g.center_index)
 
 
 def test_uniform_bound_check_small():

@@ -153,3 +153,56 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_cli_lorentz_alias_writes_report(tmp_path):
+    out = tmp_path / "d"
+    assert main(["lorentz", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["preset"] == "lorentz"
+    assert [c["name"] for c in report["checks"]] == [
+        "lorentz.constant_counterexample", "lorentz.sandwich_random",
+        "lorentz.disk_inverse_radius", "lorentz.disk_lower_sandwich"]
+
+
+def test_cli_decay_alias_follows_config_dim(tmp_path):
+    cfg = write(tmp_path / "d2.cfg", "dim = 2\nfamily = identity\nR = 1.0\n"
+                                     "n = 65\n")
+    assert main(["decay", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["preset"] == "log2d"
+    assert [c["name"] for c in report["checks"]] == [
+        "log2d.G.identity", "log2d.grad.identity", "log2d.mixed.identity",
+        "log2d.ratio.identity"]
+
+
+def test_cli_threads_flag_removed():
+    assert main(["verify", "--preset", "adjoint", "--threads", "2"]) == 2
+
+
+def test_cli_config_run_keys_reach_runners(tmp_path, capsys):
+    def run(name, cfg_text=None):
+        args = ["verify", "--preset", "adjoint", "--out", str(tmp_path / name)]
+        if cfg_text:
+            args += ["--config", write(tmp_path / f"{name}.cfg", cfg_text)]
+        return main(args)
+
+    def dense_scale(name):
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        dense, = [c for c in report["checks"]
+                  if c["name"] == "adjoint.dense.nonsym_skew"]
+        return dense["measured"]["scale"]
+
+    # the iterative adjoint check probes x = (-0.375, 0.125), a node of the
+    # default n = 17 grid but not of n = 9
+    assert run("n9", "n = 9\n") == 2
+    assert "not a grid node" in capsys.readouterr().err
+    assert run("n33", "n = 33\n") == 0 and run("default") == 0
+    assert dense_scale("n33") != dense_scale("default")
+
+
+def test_cli_unknown_name_in_preset_list_exit_2(tmp_path):
+    out = tmp_path / "rep"
+    assert main(["verify", "--preset", "adjoint,no-such-thing",
+                 "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()

@@ -20,10 +20,14 @@ def test_scalar_trig_quarter_cell():
 
 
 def test_nonsym_skew_constant():
+    # the symmetric part is the constant I; the skew part is s(x) J with
+    # s(x) = 0.3 (1 + sin(2 pi x1) cos(2 pi x2))
     f = make_field("nonsym_skew", 2)
-    expected = np.array([[1.0, 0.3], [-0.3, 1.0]])
-    for pt in [(0.0, 0.0), (0.13, -2.4), (5.0, 5.0)]:
-        assert np.array_equal(evaluate(f, pt), expected)
+    assert f.alpha == 1.0 and f.bound == 1.0
+    assert make_field("nonsym_skew", 2, (0.8,)).bound == 1.6  # max(1, 2|s|)
+    for pt, s in [((0.0, 0.0), 0.3), ((0.25, 0.0), 0.6), ((0.25, 0.5), 0.0)]:
+        np.testing.assert_allclose(evaluate(f, pt), [[1.0, s], [-s, 1.0]],
+                                   rtol=0, atol=1e-15)
 
 
 def test_evaluate_batch_shape():

@@ -3,8 +3,7 @@ import pytest
 
 from greenbox import ConfigError, assemble, build_grid, make_field
 from greenbox.lift import (arctan_kernel, assemble_lifted, build_slab,
-                           compare_lift, integrate_t, kappa_integral,
-                           lifted_column)
+                           compare_lift, integrate_t, lifted_column)
 
 
 def test_slab_validation():
@@ -65,13 +64,12 @@ def test_integrate_t_trapezoid_weights():
 
 
 def test_kappa_validation():
-    f = make_field("identity", 2)
-    base = build_grid(2, 1.0, 9)
-    slab = build_slab(base, 1.0)
+    slab = build_slab(build_grid(2, 1.0, 9), 1.0)
+    vals = np.ones(slab.shape)
     with pytest.raises(ConfigError):
-        kappa_integral(f, slab, base.center_index, 2.0)  # beyond the slab
+        integrate_t(slab, vals, 2.0)  # beyond the slab
     with pytest.raises(ConfigError):
-        kappa_integral(f, slab, base.center_index, 0.3 * slab.h)
+        integrate_t(slab, vals, 0.3 * slab.h)
 
 
 def test_arctan_kernel_identity():

@@ -113,6 +113,17 @@ def test_transpose_identity_all_families(dim, n):
         assert np.abs(Kt - K.T).max() <= 1e-15 * scale
 
 
+@pytest.mark.parametrize("dim,n", [(2, 17), (3, 9)])
+def test_nonsym_skew_assembles_nonsymmetric(dim, n):
+    g = build_grid(dim, 1.0, n)
+    f = make_field("nonsym_skew", dim)
+    K = assemble(f, g).to_dense()
+    Kt = assemble(transpose_field(f), g).to_dense()
+    scale = np.abs(K).max()
+    assert np.abs(K - K.T).max() > 0.01 * scale
+    assert np.abs(Kt - K.T).max() <= 1e-15 * scale
+
+
 def test_symmetric_field_symmetric_matrix():
     g = build_grid(2, 1.0, 9)
     K = assemble(make_field("scalar_trig", 2), g)
@@ -242,9 +253,8 @@ def test_lifted_assembler_matches_element_reference(family):
 
 @pytest.mark.parametrize("lengths", [(6, 9), (5, 4, 7)])
 def test_assembler_nonsymmetric_variable_coefficient(lengths):
-    # the families' only nonsymmetric part is a constant skew matrix, which
-    # drops out of the global matrix; this coefficient does not, so a
-    # transposed element matrix or offset would show
+    # non-cubic axes and a nonsymmetric coupling on every axis pair, so a
+    # transposed element matrix or an offset on any one axis would show
     def matrix_fn(pts):
         out = np.zeros(pts.shape + (pts.shape[1],))
         for k in range(pts.shape[1]):
