@@ -5,6 +5,8 @@ slab; integrating the solution over t in [-kappa, kappa] produces G_kappa,
 whose x-gradient is bounded by C pi/|x - y| uniformly in kappa (the arctan
 integral below is where the pi comes from) and which converges to the plain
 2D Green function.  Here the two routes agree to a fraction of a percent.
+The slab is never assembled: sine modes in t split its solve into
+independent 2D problems, solved together as one block system.
 """
 
 import numpy as np
@@ -21,8 +23,11 @@ field = gb.make_field("identity", 2)
 grid = gb.build_grid(2, 1.0, 33)
 slab = lift.build_slab(grid, 4.0)
 print(f"\nslab: {slab.shape[0]}x{slab.shape[1]} base nodes x "
-      f"{slab.n_layers} layers")
+      f"{slab.n_layers} layers, solved as {len(lift.sine_modes(slab)[0])} "
+      f"independent sine modes in t")
 report = lift.compare_lift(field, grid, slab, grid.center_index, kappa=4.0)
+print(f"slab solve: {report.slab_iterations} iterations, "
+      f"residual {report.slab_residual:.2e}")
 print(f"G_kappa positive: {report.positive}, "
       f"monotone in kappa: {report.monotone_in_kappa}")
 print(f"gradient mismatch against the direct 2D solve "

@@ -8,17 +8,20 @@ x-gradient is bounded by C pi / |x - y| uniformly in kappa, and which
 recovers the 2D Green function up to an additive constant as kappa grows.
 It is a verification device, not a production path for 2D columns (direct
 2D solves are much cheaper).
+
+The slab solve splits into independent 2D problems by sine modes in t (fast
+diagonalization, Lynch, Rice & Thomas, Numer. Math. 6, 1964); only the test
+oracle ``assemble_lifted`` forms the 3D slab matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import analysis, fields, green, mesh, sparse
-from .errors import ConfigError, SourcePlacementError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -40,18 +43,14 @@ class SlabGrid:
     def n_layers(self):
         return mesh.even_steps(self.t_half_width, self.h) + 1
 
-    @cached_property
-    def t_axis(self):
-        c = (self.n_layers - 1) // 2
-        return (np.arange(self.n_layers) - c) * self.h
-
     @property
     def shape(self):
         return (self.base.n, self.base.n, self.n_layers)
 
-    @cached_property
+    @property
     def axes(self):
-        return [self.base.axis, self.base.axis, self.t_axis]
+        t = (np.arange(self.n_layers) - (self.n_layers - 1) // 2) * self.h
+        return [self.base.axis, self.base.axis, t]
 
 
 def build_slab(base, t_half_width):
@@ -60,53 +59,70 @@ def build_slab(base, t_half_width):
     slab = SlabGrid(base=base, t_half_width=float(t_half_width))
     if slab.n_layers < 5:
         raise ConfigError("slab needs at least 5 layers")
-    mesh.check_stencil_fits(tuple(s - 2 for s in slab.shape))
+    mesh.check_stencil_fits(((slab.n_layers - 1) // 2,) + (base.n - 2,) * 2)
     return slab
 
 
-def _lifted_matrix(field):
-    """Coefficient of the lifted operator: diag(A(x1, x2), 1)."""
-    def matrix_fn(pts):
-        pts = np.asarray(pts)
-        a2 = fields.evaluate(field, pts[:, :2])
-        out = np.zeros(pts.shape[:-1] + (3, 3))
-        out[..., :2, :2] = a2
-        out[..., 2, 2] = 1.0
-        return out
-    return matrix_fn
-
-
 def assemble_lifted(field, slab):
-    """Q1 stiffness of -div_x(A grad_x u) - d_t^2 u over the slab interior.
-
-    With A = identity this coincides bitwise with the 3D assembler on the
-    same geometry, since the lifted coefficient is then the 3x3 identity.
-    """
+    """Q1 stiffness of -div_x(A grad_x u) - d_t^2 u over the slab interior:
+    the 3D assembler with coefficient diag(A(x1, x2), 1), bitwise equal to it
+    at A = identity.  Only tests call it, as the oracle of lifted_column."""
     if field.dim != 2:
         raise ConfigError("assemble_lifted expects a 2D field")
-    return mesh._assemble_axes(_lifted_matrix(field), slab.axes, slab.h,
+
+    def matrix_fn(pts):
+        out = np.zeros(pts.shape[:-1] + (3, 3))
+        out[..., :2, :2] = fields.evaluate(field, pts[..., :2])
+        out[..., 2, 2] = 1.0
+        return out
+    return mesh._assemble_axes(matrix_fn, slab.axes, slab.h,
                                symmetric=fields.is_symmetric(field))
+
+
+def sine_modes(slab):
+    """The odd sine modes phi_k(j) = sqrt(2/(m+1)) sin(pi k j/(m+1)) on the m
+    interior layers (even ones vanish at t = 0), and their eigenvalues
+    lambda_k of K_t = (1/h)[-1, 2, -1] and mu_k of M_t = h[1/6, 2/3, 1/6]."""
+    m = slab.n_layers - 2
+    theta = np.pi * np.arange(1, m + 1, 2) / (m + 1)
+    phi = np.sqrt(2.0 / (m + 1)) * np.sin(np.outer(theta, np.arange(1, m + 1)))
+    return (phi, (2.0 / slab.h) * (1.0 - np.cos(theta)),
+            slab.h * (2.0 + np.cos(theta)) / 3.0)
+
+
+def mass_2d(base):
+    """Q1 mass matrix M_1 (x) M_1 over the interior nodes of a 2D grid."""
+    m1 = np.repeat(base.h * np.array([[1.0], [4.0], [1.0]]) / 6.0, base.n - 2, 1)
+    m1[0, 0] = m1[2, -1] = 0.0    # neighbours beyond the faces
+    return sparse.SparseSystem((base.n - 2,) * 2, np.einsum(
+        "ai,bj->abij", m1, m1).reshape(9, -1), True)
 
 
 def lifted_column(field, slab, y, *, system=None, rel_tol=1e-10):
     """Green column of the lifted operator with source at (y, t = 0).
 
-    ``y`` is a full node index of the base grid.  Returns the solution on
-    the full slab node array of shape ``slab.shape`` (zeros on all faces)
-    and the solver's ``SolveInfo``.
-    """
-    i1, i2 = np.unravel_index(y, slab.base.shape)
-    if not (0 < i1 < slab.base.n - 1 and 0 < i2 < slab.base.n - 1):
-        raise SourcePlacementError("base source lies on the boundary")
+    ``y`` is a full node index of the base grid and ``system`` the base
+    stiffness K_x (assembled when None).  Since K = K_x (x) M_t + M_x (x) K_t,
+    the q odd modes solve (mu_k K_x + lambda_k M_x) u_k = phi_k(0) e_y as one
+    block system of shape (q, *base interior), capped at the base grid's
+    iterations; its residual is the slab residual, as the sine transform is
+    orthonormal.  Returns the full slab values (zero faces) and SolveInfo."""
     if system is None:
-        system = assemble_lifted(field, slab)
-    ishape = tuple(s - 2 for s in slab.shape)
-    center_layer = (slab.n_layers - 1) // 2
-    rhs = np.zeros(system.n_rows)
-    rhs[np.ravel_multi_index((i1 - 1, i2 - 1, center_layer - 1), ishape)] = 1.0
-    u, info = sparse.solve(system, rhs, rel_tol=rel_tol)
+        system = mesh.assemble(field, slab.base)
+    phi, lam, mu = sine_modes(slab)
+    q, ishape = len(phi), system.shape
+    rhs = np.multiply.outer(phi[:, (slab.n_layers - 3) // 2],
+                            mesh.load_delta(slab.base, y))
+    data = np.zeros((3, 9, q, system.n_rows))  # t-offset, x-offset, mode, node
+    data[1] = (mu[:, None] * system.data[:, None]
+               + lam[:, None] * mass_2d(slab.base).data[:, None])
+    blocks = sparse.SparseSystem((q,) + ishape, data.reshape(27, -1),
+                                 system.symmetric)
+    cap = 100 + 20 * max(((system,) + system.hierarchy)[-1].shape)
+    u, info = sparse.solve(blocks, rhs.ravel(), rel_tol=rel_tol, max_iter=cap)
     full = np.zeros(slab.shape)
-    full[1:-1, 1:-1, 1:-1] = u.reshape(ishape)
+    full[1:-1, 1:-1, 1:-1] = np.einsum("kab,kj->abj",
+                                       u.reshape((q,) + ishape), phi)
     return full, info
 
 
@@ -165,10 +181,11 @@ def compare_lift(field, grid2, slab, y, kappa, *, rel_tol=1e-10):
     """
     if kappa < 4.0 * grid2.half_width - 1e-12:
         raise ConfigError("kappa must be at least 4 box half-widths")
-    slab_vals, info = lifted_column(field, slab, y, rel_tol=rel_tol)
+    kx = mesh.assemble(field, grid2)
+    slab_vals, info = lifted_column(field, slab, y, system=kx, rel_tol=rel_tol)
     gk = integrate_t(slab, slab_vals, kappa)
     gk_half = integrate_t(slab, slab_vals, kappa / 2.0)
-    col = green.green_column(field, grid2, y, rel_tol=rel_tol)
+    col = green.green_column(field, grid2, y, system=kx, rel_tol=rel_tol)
 
     positive = bool(gk.min() >= -1e-12 * gk.max())
     monotone = bool(np.all(gk - gk_half >= -1e-12 * gk.max()))

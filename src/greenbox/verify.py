@@ -286,8 +286,7 @@ def checks_adjoint(n=17, R=1.0, rel_tol=1e-10):
 
     h = grid.h
     y = grid.center_index
-    xs = [grid.node_at((0.25, -0.25)), grid.node_at((4 * h, 2 * h)),
-          grid.node_at((-0.375, 0.125))]
+    xs = [grid.node_at(h * np.array(p)) for p in ((2, -2), (4, 2), (-3, 1))]
     col = green.green_column(field, grid, y, system=system, rel_tol=rel_tol)
     worst = 0.0
     for x in xs:

@@ -193,10 +193,11 @@ def test_cli_config_run_keys_reach_runners(tmp_path, capsys):
                   if c["name"] == "adjoint.dense.nonsym_skew"]
         return dense["measured"]["scale"]
 
-    # the iterative adjoint check probes x = (-0.375, 0.125), a node of the
-    # default n = 17 grid but not of n = 9
+    # the iterative adjoint check probes x = (4h, 2h), which at n = 9 is a
+    # node of the face x1 = 1
     assert run("n9", "n = 9\n") == 2
-    assert "not a grid node" in capsys.readouterr().err
+    assert "lies on the Dirichlet boundary" in capsys.readouterr().err
+    assert run("n11", "n = 11\n") == 0
     assert run("n33", "n = 33\n") == 0 and run("default") == 0
     assert dense_scale("n33") != dense_scale("default")
 

@@ -1,9 +1,34 @@
 import numpy as np
 import pytest
 
-from greenbox import ConfigError, assemble, build_grid, make_field
+from greenbox import (ConfigError, ConvergenceError, assemble, build_grid,
+                      make_field, sparse)
 from greenbox.lift import (arctan_kernel, assemble_lifted, build_slab,
-                           compare_lift, integrate_t, lifted_column)
+                           compare_lift, integrate_t, lifted_column, mass_2d,
+                           sine_modes)
+
+FAMILIES = ("identity", "scalar_trig", "nonsym_skew")
+
+
+def _tridiagonal(size, lower_upper, centre):
+    return (centre * np.eye(size)
+            + lower_upper * (np.eye(size, k=1) + np.eye(size, k=-1)))
+
+
+def _t_factors(slab):
+    """Dense K_t = (1/h)[-1, 2, -1] and M_t = h[1/6, 2/3, 1/6] on m layers."""
+    m, h = slab.n_layers - 2, slab.h
+    return (_tridiagonal(m, -1.0, 2.0) / h,
+            h * _tridiagonal(m, 1.0 / 6.0, 2.0 / 3.0))
+
+
+def _slab_delta(slab, y):
+    """The slab load: a unit vector at base node y on the layer t = 0."""
+    base = slab.base
+    rhs = np.zeros((base.n - 2, base.n - 2, slab.n_layers - 2))
+    i1, i2 = base.multi(y)
+    rhs[i1 - 1, i2 - 1, (slab.n_layers - 3) // 2] = 1.0
+    return rhs.ravel()
 
 
 def test_slab_validation():
@@ -14,8 +39,8 @@ def test_slab_validation():
         build_slab(build_grid(3, 1.0, 9), 1.0)
     slab = build_slab(base, 2.0)
     assert slab.n_layers == 17
-    assert slab.t_axis[(slab.n_layers - 1) // 2] == 0.0
-    assert np.array_equal(slab.t_axis, -slab.t_axis[::-1])
+    assert slab.axes[2][(slab.n_layers - 1) // 2] == 0.0
+    assert np.array_equal(slab.axes[2], -slab.axes[2][::-1])
 
 
 def test_lifted_identity_matches_3d_assembler_bitwise():
@@ -56,7 +81,7 @@ def test_integrate_t_trapezoid_weights():
     base = build_grid(2, 1.0, 9)
     slab = build_slab(base, 1.0)
     vals = np.zeros(slab.shape)
-    vals[:, :, :] = slab.t_axis[None, None, :] ** 2  # even polynomial in t
+    vals[:, :, :] = slab.axes[2][None, None, :] ** 2  # even polynomial in t
     out = integrate_t(slab, vals, 1.0)
     # trapezoid of t^2 over [-1, 1] at spacing h: 2/3 + h^2/3 exactly
     exact = 2.0 / 3.0 + slab.h**2 / 3.0
@@ -98,3 +123,82 @@ def test_compare_lift_requires_large_kappa():
     slab = build_slab(grid, 2.0)
     with pytest.raises(ConfigError):
         compare_lift(f, grid, slab, grid.center_index, 2.0)
+
+
+def test_mass_2d_is_the_tensor_product_mass():
+    base = build_grid(2, 1.0, 9)
+    m1 = base.h * _tridiagonal(base.n - 2, 1.0 / 6.0, 2.0 / 3.0)
+    mass = mass_2d(base)
+    assert mass.validate() and mass.symmetric
+    assert np.abs(mass.to_dense() - np.kron(m1, m1)).max() <= 1e-16
+
+
+def test_sine_modes_diagonalize_the_t_factors():
+    slab = build_slab(build_grid(2, 1.0, 9), 2.0)
+    k_t, m_t = _t_factors(slab)
+    phi, lam, mu = sine_modes(slab)
+    assert phi.shape == ((slab.n_layers - 1) // 2, slab.n_layers - 2)
+    np.testing.assert_allclose(phi @ phi.T, np.eye(len(phi)), atol=1e-14)
+    np.testing.assert_allclose(phi @ k_t, lam[:, None] * phi, atol=1e-13)
+    np.testing.assert_allclose(phi @ m_t, mu[:, None] * phi, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [7, 9])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_slab_matrix_separates(family, n):
+    # K_slab = K_x (x) M_t + M_x (x) K_t, against the assembled 3D slab
+    base = build_grid(2, 1.0, n)
+    slab = build_slab(base, 1.0)
+    f = make_field(family, 2)
+    k_x = assemble(f, base).to_dense()
+    m1 = base.h * _tridiagonal(n - 2, 1.0 / 6.0, 2.0 / 3.0)
+    k_t, m_t = _t_factors(slab)
+    separated = np.kron(k_x, m_t) + np.kron(np.kron(m1, m1), k_t)
+    dense = assemble_lifted(f, slab).to_dense()
+    assert np.abs(dense - separated).max() <= 1e-14 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("family", ["scalar_trig", "nonsym_skew"])
+@pytest.mark.parametrize("n", [7, 9])
+def test_lifted_column_matches_dense_slab_solve(n, family):
+    # base 7 has q = 3 modes, so multigrid also coarsens the mode axis;
+    # base 9 has q = 4, which it never coarsens
+    base = build_grid(2, 1.0, n)
+    slab = build_slab(base, 1.0)
+    f = make_field(family, 2)
+    vals, info = lifted_column(f, slab, base.center_index)
+    ref = sparse.dense_solve(assemble_lifted(f, slab),
+                             _slab_delta(slab, base.center_index))
+    got = vals[1:-1, 1:-1, 1:-1].ravel()
+    assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+    assert np.all(vals[[0, -1]] == 0.0) and np.all(vals[:, [0, -1]] == 0.0)
+    assert np.all(vals[:, :, [0, -1]] == 0.0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n, width, node", [(17, 2.0, (6, 9)),
+                                            (11, 5.0, (4, 6))])
+def test_block_residual_is_the_slab_residual(n, width, node, family):
+    # base 11, width 5 has q = 25 odd modes, so multigrid also coarsens the
+    # uncoupled mode axis; it must still converge under the base grid's cap
+    base = build_grid(2, 1.0, n)
+    slab = build_slab(base, width)
+    f = make_field(family, 2)
+    y = base.index(node)
+    vals, info = lifted_column(f, slab, y)
+    u = vals[1:-1, 1:-1, 1:-1].ravel()
+    r = _slab_delta(slab, y) - sparse.matvec(assemble_lifted(f, slab), u)
+    assert 0.0 < info.residual <= 1e-10 and info.iterations < 120
+    assert abs(info.residual - np.linalg.norm(r)) <= 1e-15
+
+
+def test_lift_iteration_cap_is_the_base_grids():
+    # 32 uncoupled modes over a 7 x 7 base interior: the default cap, read
+    # off the block system's coarsest level (32 x 1 x 1), would be 740
+    base = build_grid(2, 1.0, 9)
+    slab = build_slab(base, 8.0)
+    assert len(sine_modes(slab)[0]) == 32
+    with pytest.raises(ConvergenceError) as err:
+        lifted_column(make_field("identity", 2), slab, base.center_index,
+                      rel_tol=1e-300)
+    assert err.value.iterations == 120
