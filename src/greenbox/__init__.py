@@ -14,8 +14,7 @@ from .green import (GreenColumn, adjoint_column, domain_growth, green_column,
                     mixed_derivative, nested_grid, normalize_2d)
 from .mesh import (BoxGrid, assemble, build_grid, expand_interior,
                    gradient_field, load_delta)
-from .sparse import (SparseSystem, dense_solve, matvec, solve, solve_general,
-                     solve_spd)
+from .sparse import SparseSystem, dense_solve, matvec, solve
 
 __version__ = "0.1.0"
 
@@ -25,7 +24,6 @@ __all__ = [
     "adjoint_column", "assemble", "build_grid", "dense_solve",
     "domain_growth", "evaluate", "expand_interior", "gradient_field",
     "green_column", "is_symmetric", "load_delta", "make_field", "matvec",
-    "mixed_derivative", "nested_grid", "normalize_2d", "solve", "solve_general",
-    "solve_spd", "transpose_field", "verify_coercivity",
-    "verify_periodicity",
+    "mixed_derivative", "nested_grid", "normalize_2d", "solve",
+    "transpose_field", "verify_coercivity", "verify_periodicity",
 ]

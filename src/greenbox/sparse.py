@@ -111,13 +111,6 @@ class SparseSystem:
         dense[i, i + self.shifts[k]] = self.data[k, i]
         return dense
 
-    def transpose(self):
-        """The reflected stencil K^T[i, o] = K[i + o, -o]."""
-        k, i = np.nonzero(self._on_grid())
-        t_data = np.zeros_like(self.data)
-        t_data[k, i] = self.data[len(self.data) - 1 - k, i + self.shifts[k]]
-        return SparseSystem(self.shape, t_data, self.symmetric)
-
     def validate(self):
         """Check the stencil invariants; raises ConfigError on violation."""
         if self.data.shape != (3 ** len(self.shape), self.n_rows):
@@ -254,152 +247,118 @@ def _norm(a):
     return float(np.sqrt(_dot(a, a)))
 
 
-def _true_residual(system, x, rhs):
-    r = rhs - matvec(system, x)
-    return r, _norm(r)
+def _coupled_length(system):
+    """Longest axis along which the stencil couples neighbours, or 1."""
+    offsets = stencil_offsets(len(system.shape))
+    coupled = np.any(offsets[np.any(system.data != 0.0, axis=1)], axis=0)
+    return max((m for m, c in zip(system.shape, coupled) if c), default=1)
 
 
-def _start(system, rhs, rel_tol, max_iter):
-    """Shared solver preamble: (rhs, x = 0, tol_abs, precondition, max_iter).
+def _cg(levels, r, tol_abs, history, max_iter):
+    """Preconditioned conjugate gradients for K e = r from e = 0.
 
-    precondition is None when rhs = 0, whose solution is the zero start.
-    The default max_iter is 100 + 20 x the longest axis of the coarsest
-    level: 120 when the hierarchy reaches one node, and growing with the
-    part of the problem that multigrid leaves to smoothing.
+    Appends the recursive residual norm of each iteration to ``history`` and
+    returns e once that norm meets tol_abs or the history is full.
+    """
+    system = levels[0]
+    e = np.zeros_like(r)
+    r = r.copy()
+    p = z = _vcycle(levels, 0, r)
+    rz = _dot(r, z)
+    while len(history) < max_iter:
+        ap = matvec(system, p)
+        alpha = rz / _dot(p, ap)
+        e += alpha * p
+        r -= alpha * ap
+        history.append(_norm(r))
+        if history[-1] <= tol_abs:
+            break
+        z = _vcycle(levels, 0, r)
+        rz_new = _dot(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return e
+
+
+def _bicgstab(levels, r, tol_abs, history, max_iter):
+    """Preconditioned BiCGStab for K e = r from e = 0, shadow residual r.
+
+    Same stopping rule as _cg, and it also returns at a breakdown
+    (rho = 0, omega = 0 or t = 0; van der Vorst, SIAM J. Sci. Stat. Comput.
+    13, 1992), leaving solve to restart from the true residual.
+    """
+    system = levels[0]
+    e = np.zeros_like(r)
+    r0 = r
+    rho = alpha = omega = 1.0
+    v = p = np.zeros_like(r)
+    while len(history) < max_iter:
+        rho_new = _dot(r0, r)
+        if rho_new == 0.0 or omega == 0.0:
+            break
+        beta = (rho_new / rho) * (alpha / omega)
+        rho = rho_new
+        p = r + beta * (p - omega * v)
+        ph = _vcycle(levels, 0, p)
+        v = matvec(system, ph)
+        alpha = rho / _dot(r0, v)
+        s = r - alpha * v
+        tt = 0.0
+        if _norm(s) > tol_abs:
+            sh = _vcycle(levels, 0, s)
+            t = matvec(system, sh)
+            tt = _dot(t, t)
+        if tt == 0.0:    # s met the tolerance, or t = 0
+            history.append(_norm(s))
+            e += alpha * ph
+            break
+        omega = _dot(t, s) / tt
+        e += alpha * ph + omega * sh
+        r = s - omega * t
+        history.append(_norm(r))
+        if history[-1] <= tol_abs:
+            break
+    return e
+
+
+def solve(system, rhs, rel_tol=1e-10, max_iter=None):
+    """Multigrid-preconditioned CG (symmetric flag set) or BiCGStab.
+
+    Returns (u, SolveInfo) with ||K u - rhs||_2 <= rel_tol ||rhs||_2, the
+    bound re-checked with one extra matvec whenever the recursion stops; if
+    it fails there (drift, or a BiCGStab breakdown), the recursion restarts
+    from the true residual (residual replacement; van der Vorst & Ye, SIAM
+    J. Sci. Comput. 22, 2000).  The default max_iter is 100 + 20 x the
+    longest axis along which the coarsest level couples: 120 when the
+    hierarchy reaches one node or leaves only uncoupled axes, and growing
+    with the part of the problem that multigrid leaves to smoothing.  Raises
+    ConvergenceError (carrying the true residual and the recursive residual
+    norm of every iteration, over all restarts) when max_iter is exhausted.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ConfigError("rel_tol must lie in (0, 1)")
     rhs = np.asarray(rhs, dtype=float)
-    norm_b = _norm(rhs)
     x = np.zeros(system.n_rows)
-    if norm_b == 0.0:
-        return rhs, x, 0.0, None, max_iter
+    res = _norm(rhs)
+    if res == 0.0:
+        return x, SolveInfo(0, 0.0)
     levels = (system,) + system.hierarchy
     if max_iter is None:
-        max_iter = 100 + 20 * max(levels[-1].shape)
-    return (rhs, x, rel_tol * norm_b, lambda r: _vcycle(levels, 0, r),
-            max_iter)
-
-
-def _not_converged(name, system, x, rhs, rel_tol, max_iter, history):
-    res = _true_residual(system, x, rhs)[1]
-    return ConvergenceError(
+        max_iter = 100 + 20 * _coupled_length(levels[-1])
+    tol_abs = rel_tol * res
+    recurrence = _cg if system.symmetric else _bicgstab
+    r, history = rhs, []
+    while len(history) < max_iter:
+        x += recurrence(levels, r, tol_abs, history, max_iter)
+        r = rhs - matvec(system, x)
+        res = _norm(r)
+        if res <= tol_abs:
+            return x, SolveInfo(len(history), res)
+    name = "CG" if system.symmetric else "BiCGStab"
+    raise ConvergenceError(
         f"{name} did not reach {rel_tol:g} in {max_iter} iterations "
         f"(residual {res:g})", residual=res, iterations=len(history),
         history=history)
-
-
-def solve_spd(system, rhs, rel_tol=1e-10, max_iter=None):
-    """Multigrid-preconditioned conjugate gradients for the symmetric case.
-
-    Returns (u, SolveInfo) with ||K u - rhs||_2 <= rel_tol ||rhs||_2, the
-    bound re-checked with one extra matvec before returning.  Raises
-    ConvergenceError (carrying the residual and the recursive residual norm
-    of every iteration) when max_iter is exhausted.
-    """
-    if not system.symmetric:
-        raise ConfigError("solve_spd requires the symmetric flag")
-    rhs, x, tol_abs, precondition, max_iter = _start(system, rhs, rel_tol,
-                                                     max_iter)
-    if precondition is None:
-        return x, SolveInfo(0, 0.0)
-    r = rhs.copy()
-    z = precondition(r)
-    p = z.copy()
-    rz = _dot(r, z)
-    history = []
-    while len(history) < max_iter:
-        ap = matvec(system, p)
-        alpha = rz / _dot(p, ap)
-        x += alpha * p
-        r -= alpha * ap
-        history.append(_norm(r))
-        if history[-1] <= tol_abs:
-            r_true, res = _true_residual(system, x, rhs)
-            if res <= tol_abs:
-                return x, SolveInfo(len(history), res)
-            # recursion residual drifted from the true one: restart
-            r = r_true
-            z = precondition(r)
-            p = z.copy()
-            rz = _dot(r, z)
-            continue
-        z = precondition(r)
-        rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise _not_converged("CG", system, x, rhs, rel_tol, max_iter, history)
-
-
-def solve_general(system, rhs, rel_tol=1e-10, max_iter=None):
-    """Multigrid-preconditioned BiCGStab; handles non-symmetric systems.
-
-    Same contract as solve_spd.  On symmetric inputs the result agrees with
-    solve_spd to the solver tolerance.
-    """
-    rhs, x, tol_abs, precondition, max_iter = _start(system, rhs, rel_tol,
-                                                     max_iter)
-    if precondition is None:
-        return x, SolveInfo(0, 0.0)
-    r = rhs.copy()
-    r0 = r.copy()
-    rho = alpha = omega = 1.0
-    v = np.zeros_like(r)
-    p = np.zeros_like(r)
-    history = []
-    while len(history) < max_iter:
-        rho_new = _dot(r0, r)
-        if rho_new == 0.0 or (omega == 0.0 and history):
-            # breakdown: restart the shadow residual from the current one
-            r0 = r.copy()
-            rho_new = _dot(r0, r)
-            if rho_new == 0.0:
-                history.append(_norm(r))
-                break
-            p = np.zeros_like(r)
-            v = np.zeros_like(r)
-            rho = alpha = omega = 1.0
-        beta = (rho_new / rho) * (alpha / omega)
-        rho = rho_new
-        p = r + beta * (p - omega * v)
-        ph = precondition(p)
-        v = matvec(system, ph)
-        alpha = rho / _dot(r0, v)
-        s = r - alpha * v
-        if _norm(s) <= tol_abs:
-            history.append(_norm(s))
-            x += alpha * ph
-            r_true, res = _true_residual(system, x, rhs)
-            if res <= tol_abs:
-                return x, SolveInfo(len(history), res)
-            r = r_true
-            continue
-        sh = precondition(s)
-        t = matvec(system, sh)
-        tt = _dot(t, t)
-        if tt == 0.0:
-            history.append(_norm(s))
-            raise ConvergenceError("BiCGStab breakdown: t = 0",
-                                   residual=history[-1],
-                                   iterations=len(history), history=history)
-        omega = _dot(t, s) / tt
-        x += alpha * ph + omega * sh
-        r = s - omega * t
-        history.append(_norm(r))
-        if history[-1] <= tol_abs:
-            r_true, res = _true_residual(system, x, rhs)
-            if res <= tol_abs:
-                return x, SolveInfo(len(history), res)
-            r = r_true
-    raise _not_converged("BiCGStab", system, x, rhs, rel_tol, max_iter,
-                         history)
-
-
-def solve(system, rhs, rel_tol=1e-10, max_iter=None):
-    """Dispatch to CG or BiCGStab according to the symmetry flag."""
-    if system.symmetric:
-        return solve_spd(system, rhs, rel_tol, max_iter)
-    return solve_general(system, rhs, rel_tol, max_iter)
 
 
 def dense_solve(system, rhs):

@@ -1,14 +1,22 @@
 """Acceptance suite: one test per headline criterion, at stated tolerance.
 
-Heavy experiment groups run once each through module-scoped fixtures and the
-individual criteria assert against the shared results.  Each test prints one
-PASS/FAIL line (visible with ``pytest -s`` or in failure reports).
+Every preset of ``verify --preset all`` runs once through a module-scoped
+fixture and the individual criteria assert against the shared results.  Each
+test prints one PASS/FAIL line (visible with ``pytest -s`` or in failure
+reports).  The last test holds the same checks against the committed root
+``report.json``: a refactor keeps every name, verdict and measured value.
 """
 
-import numpy as np
+import dataclasses
+import json
+import math
+import pathlib
+
 import pytest
 
-from greenbox import verify
+from greenbox import cli, verify
+
+REPORT = pathlib.Path(__file__).resolve().parents[1] / "report.json"
 
 
 def _compact(value):
@@ -50,6 +58,31 @@ def monotone_checks():
     return verify.checks_monotone()
 
 
+@pytest.fixture(scope="module")
+def adjoint_checks():
+    return verify.checks_adjoint()
+
+
+@pytest.fixture(scope="module")
+def lorentz_checks():
+    return verify.checks_lorentz()
+
+
+@pytest.fixture(scope="module")
+def uniform_checks():
+    return verify.checks_uniform()
+
+
+@pytest.fixture(scope="module")
+def lift_checks():
+    return verify.checks_lift()
+
+
+@pytest.fixture(scope="module")
+def oracle_checks():
+    return verify.checks_oracle()
+
+
 def test_criterion_01_decay_exponent_3d(decay3d_checks):
     checks = _named(decay3d_checks, "decay3d.G.")
     ok = _report("criterion 1: d=3 |G| decay exponent -1 +- 0.1", checks)
@@ -88,31 +121,65 @@ def test_criterion_05_monotone_growth(monotone_checks):
                    monotone_checks)
 
 
-def test_criterion_06_adjoint_identity():
+def test_criterion_06_adjoint_identity(adjoint_checks):
     assert _report("criterion 6: adjoint identity (nonsym_skew, n=17)",
-                   verify.checks_adjoint())
+                   adjoint_checks)
 
 
-def test_criterion_07_lorentz_suite():
-    assert _report("criterion 7: weak-Lorentz norm suite",
-                   verify.checks_lorentz())
+def test_criterion_07_lorentz_suite(lorentz_checks):
+    assert _report("criterion 7: weak-Lorentz norm suite", lorentz_checks)
 
 
-def test_criterion_08_uniform_bounds():
+def test_criterion_08_uniform_bounds(uniform_checks):
     assert _report("criterion 8: uniform-in-R decay constants and weak norms",
-                   verify.checks_uniform())
+                   uniform_checks)
 
 
-def test_criterion_09_dimension_lifting():
-    assert _report("criterion 9: dimension lifting", verify.checks_lift())
+def test_criterion_09_dimension_lifting(lift_checks):
+    assert _report("criterion 9: dimension lifting", lift_checks)
 
 
-def test_criterion_10_oracle_equivalence():
+def test_criterion_10_oracle_equivalence(oracle_checks):
     assert _report("criterion 10: Krylov Green matrices match dense inverses",
-                   verify.checks_oracle())
+                   oracle_checks)
 
 
 def test_criterion_11_interior_ratio(decay3d_checks, log2d_checks):
     checks = _named(decay3d_checks, "decay3d.ratio.") + \
         _named(log2d_checks, "log2d.ratio.")
     assert _report("criterion 11: interior gradient-over-value ratio", checks)
+
+
+def _mismatches(path, got, want):
+    """Paths where got differs from want; numbers may differ by abs 1e-9 or
+    rel 1e-6 (solver tolerance), everything else must be equal."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        if got.keys() != want.keys():
+            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for k in want for m in _mismatches(f"{path}.{k}", got[k],
+                                                     want[k])]
+    if isinstance(want, list) and isinstance(got, list):
+        if len(got) != len(want):
+            return [f"{path}: length {len(got)} != {len(want)}"]
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in _mismatches(f"{path}[{i}]", g, w)]
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (got, want))
+    if numbers and (math.isclose(got, want, rel_tol=1e-6, abs_tol=1e-9)
+                    or math.isnan(got) and math.isnan(want)):
+        return []
+    return [] if got == want else [f"{path}: {got!r} != {want!r}"]
+
+
+def test_checks_match_committed_report(request):
+    # every preset of verify --preset all, in the order that wrote the report
+    checks = [c for name in verify.PRESETS if name != "selftest-fail"
+              for c in request.getfixturevalue(f"{name}_checks")]
+    got = json.loads(json.dumps([dataclasses.asdict(c) for c in checks],
+                                default=cli._json_default))
+    want = json.loads(REPORT.read_text())["checks"]
+    assert [(c["name"], c["passed"]) for c in got] == \
+        [(c["name"], c["passed"]) for c in want]
+    bad = [m for g, w in zip(got, want) for key in ("measured", "expected")
+           for m in _mismatches(f"{w['name']}.{key}", g[key], w[key])]
+    assert not bad, "\n".join(bad)

@@ -142,6 +142,15 @@ def test_cli_oversized_grid_rejected_before_allocation(tmp_path, capsys,
     assert err.startswith("error:") and "stencil" in err
 
 
+def test_cli_zero_iteration_cap_exit_2(tmp_path, capsys):
+    cfg = write(tmp_path / "solve.cfg",
+                "dim = 2\nn = 17\nR = 1.0\nmax_iter = 0\n")
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "0 iterations" in err[0]
+
+
 def test_cli_unknown_preset_exit_2():
     assert main(["verify", "--preset", "no-such-thing"]) == 2
 

@@ -180,7 +180,7 @@ def test_lifted_column_matches_dense_slab_solve(n, family):
                                             (11, 5.0, (4, 6))])
 def test_block_residual_is_the_slab_residual(n, width, node, family):
     # base 11, width 5 has q = 25 odd modes, so multigrid also coarsens the
-    # uncoupled mode axis; it must still converge under the base grid's cap
+    # uncoupled mode axis; it must still converge in under 120 iterations
     base = build_grid(2, 1.0, n)
     slab = build_slab(base, width)
     f = make_field(family, 2)
@@ -193,8 +193,9 @@ def test_block_residual_is_the_slab_residual(n, width, node, family):
 
 
 def test_lift_iteration_cap_is_the_base_grids():
-    # 32 uncoupled modes over a 7 x 7 base interior: the default cap, read
-    # off the block system's coarsest level (32 x 1 x 1), would be 740
+    # 32 uncoupled modes over a 7 x 7 base interior: the coarsest level is
+    # 32 x 1 x 1 and couples along no axis, so the default cap is the base
+    # grid's 120, not the 740 that its longest axis would give
     base = build_grid(2, 1.0, 9)
     slab = build_slab(base, 8.0)
     assert len(sine_modes(slab)[0]) == 32
