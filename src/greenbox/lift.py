@@ -105,9 +105,9 @@ def lifted_column(field, slab, y, *, system=None, rel_tol=1e-10):
     stiffness K_x (assembled when None).  Since K = K_x (x) M_t + M_x (x) K_t,
     the q odd modes solve (mu_k K_x + lambda_k M_x) u_k = phi_k(0) e_y as one
     block system of shape (q, *base interior).  Its mode axis is uncoupled,
-    so at even q the default iteration cap is 120; its residual is the slab
-    residual, as the sine transform is orthonormal.  Returns the full slab
-    values (zero faces) and SolveInfo."""
+    so the solver skips its 18 zero stencil rows and, at even q, caps it at
+    120 iterations; its residual is the slab residual (the sine transform is
+    orthonormal).  Returns the full slab values (zero faces) and SolveInfo."""
     if system is None:
         system = mesh.assemble(field, slab.base)
     phi, lam, mu = sine_modes(slab)

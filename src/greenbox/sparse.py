@@ -7,6 +7,7 @@ V-cycle: vertex-centred 2:1 coarsening, linear prolongation P, Galerkin
 coarse stencils P^T K P (faithful to an oscillating coefficient; Alcouffe,
 Brandt, Dendy & Painter, SIAM J. Sci. Stat. Comput. 2, 1981) and damped
 Jacobi smoothing.  The hierarchy is built once per system and cached on it.
+Matvecs and Galerkin products skip stencil rows that are zero everywhere.
 Matvecs and inner products run in numpy's own fixed-order loops, never in
 BLAS, so runs with identical inputs are bitwise reproducible at any BLAS
 thread count.
@@ -32,6 +33,11 @@ SWEEPS = 2
 class SolveInfo(NamedTuple):
     iterations: int
     residual: float
+
+
+class Couplings(NamedTuple):
+    rows: tuple    # stencil rows holding a nonzero entry, in offset order
+    axes: tuple    # per axis: one of those rows has a nonzero offset along it
 
 
 def stencil_offsets(d):
@@ -89,8 +95,16 @@ class SparseSystem:
         return OMEGA / self.diagonal()
 
     @cached_property
+    def couplings(self):
+        rows = tuple(k for k, row in enumerate(self.data) if row.any())
+        offsets = stencil_offsets(len(self.shape))[list(rows)]
+        return Couplings(rows, tuple(bool(c) for c in offsets.any(axis=0)))
+
+    @cached_property
     def shifts(self):
-        """Linear index shift of each stencil offset, increasing."""
+        """Linear index shift of each stencil offset; not increasing on a grid
+        with a length-1 axis, like a lift hierarchy's (q, 1, 1).  The last,
+        of offset (1, ..., 1), sums the strides (all >= 1): the largest."""
         d = len(self.shape)
         strides = [int(np.prod(self.shape[k + 1:])) for k in range(d)]
         return stencil_offsets(d) @ np.array(strides)
@@ -124,7 +138,8 @@ class SparseSystem:
 
 
 def matvec(system, x):
-    """y = K x: 3^d shifted multiply-adds over a zero-padded x, in offset order.
+    """y = K x: a shifted multiply-add per coupled row, in offset order, over
+    a zero-padded x.
 
     A read that wraps past a grid face meets an exactly-zero stencil entry.
     """
@@ -132,12 +147,14 @@ def matvec(system, x):
     n = system.n_rows
     if x.shape != (n,):
         raise ConfigError(f"matvec length mismatch: {x.shape} vs {n}")
-    pad = int(system.shifts[-1])
+    shifts = system.shifts.tolist()
+    pad = shifts[-1]
     xp = np.zeros(n + 2 * pad)
     xp[pad:pad + n] = x
     y = np.zeros(n)
-    for row, s in zip(system.data, system.shifts):
-        y += row * xp[pad + s:pad + s + n]
+    for k in system.couplings.rows:
+        s = pad + shifts[k]
+        y += system.data[k] * xp[s:s + n]
     return y
 
 
@@ -195,11 +212,14 @@ def _galerkin(system):
 
     P is the tensor product of 1D interpolations, so P^T K P is the 1D
     Galerkin product applied along each coarsened axis in turn; the offsets
-    along the other axes ride along unchanged.
-    """
+    along the other axes ride along unchanged (only the centre offset of an
+    axis that neither couples nor coarsens: the others hold zeros)."""
     d = len(system.shape)
-    st = system.data.reshape((3,) * d + tuple(system.shape))
-    for ax in coarse_axes(system.shape):
+    axes = coarse_axes(system.shape)
+    centre = tuple(slice(None) if c or k in axes else slice(1, 2)
+                   for k, c in enumerate(system.couplings.axes))
+    st = system.data.reshape((3,) * d + tuple(system.shape))[centre]
+    for ax in axes:
         fine = np.moveaxis(st, (ax, d + ax), (0, 1))
         mc = (fine.shape[1] - 1) // 2
         coarse = np.zeros((3, mc) + fine.shape[2:])
@@ -212,8 +232,9 @@ def _galerkin(system):
         coarse[2, -1] = 0.0
         st = np.moveaxis(coarse, (0, 1), (ax, d + ax))
     shape = st.shape[d:]
-    return SparseSystem(shape, np.ascontiguousarray(st).reshape(3 ** d, -1),
-                        system.symmetric)
+    full = np.zeros((3,) * d + shape)
+    full[centre] = st
+    return SparseSystem(shape, full.reshape(3 ** d, -1), system.symmetric)
 
 
 def _vcycle(levels, k, b):
@@ -249,9 +270,8 @@ def _norm(a):
 
 def _coupled_length(system):
     """Longest axis along which the stencil couples neighbours, or 1."""
-    offsets = stencil_offsets(len(system.shape))
-    coupled = np.any(offsets[np.any(system.data != 0.0, axis=1)], axis=0)
-    return max((m for m, c in zip(system.shape, coupled) if c), default=1)
+    return max((m for m, c in zip(system.shape, system.couplings.axes) if c),
+               default=1)
 
 
 def _cg(levels, r, tol_abs, history, max_iter):

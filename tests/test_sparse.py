@@ -7,8 +7,8 @@ import pytest
 
 import greenbox
 from greenbox import (ConfigError, ConvergenceError, SparseSystem, assemble,
-                      build_grid, dense_solve, load_delta, make_field, matvec,
-                      solve, sparse)
+                      build_grid, dense_solve, lift, load_delta, make_field,
+                      matvec, solve, sparse)
 
 
 def from_dense(mat, symmetric=None):
@@ -51,7 +51,7 @@ def test_matvec_length_mismatch():
         matvec(K, np.zeros(3))
 
 
-def test_solve_spd_hand_elimination():
+def test_cg_hand_elimination():
     K = from_dense(TWO_BY_TWO)
     u, info = solve(K, np.array([1.0, 0.0]), rel_tol=1e-12)
     np.testing.assert_allclose(u, [2 / 3, 1 / 3], atol=1e-12)
@@ -65,7 +65,7 @@ def test_solve_zero_rhs():
     assert info.iterations == 0
 
 
-def test_solve_general_hand_elimination():
+def test_bicgstab_hand_elimination():
     K = from_dense([[2.0, 1.0], [-1.0, 2.0]])
     u, _ = solve(K, np.array([3.0, 1.0]), rel_tol=1e-12)
     np.testing.assert_allclose(u, [1.0, 1.0], atol=1e-10)
@@ -206,29 +206,95 @@ def _interpolation(m):
     return P
 
 
+def _lift_blocks(n):
+    """The block system lift.lifted_column solves for a base grid of n nodes
+    and slab half-width 1: q = 4 modes at n = 9, q = 3 at n = 7."""
+    grid = build_grid(2, 1.0, n)
+    solve_blocks, captured = sparse.solve, []
+
+    def capture(system, rhs, **kwargs):
+        captured.append(system)
+        return solve_blocks(system, rhs, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse, "solve", capture)
+        lift.lifted_column(make_field("scalar_trig", 2),
+                           lift.build_slab(grid, 1.0), grid.center_index)
+    return captured[0]
+
+
 def test_galerkin_levels_match_dense_triple_product():
+    systems = []
     for dim, n in ((2, 9), (3, 5)):
         g = build_grid(dim, 1.0, n)
         for fam in ("scalar_trig", "nonsym_skew"):
-            fine = assemble(make_field(fam, dim), g)
-            assert fine.hierarchy[-1].shape == (1,) * dim
-            for coarse in fine.hierarchy:
-                P = _interpolation(fine.shape[0])
-                for m in fine.shape[1:]:
-                    P = np.kron(P, _interpolation(m))
-                expected = P.T @ fine.to_dense() @ P
-                xc = np.sin(np.arange(coarse.n_rows) + 1.0)
-                np.testing.assert_allclose(sparse.prolong(xc, fine.shape),
-                                           P @ xc, rtol=1e-14, atol=1e-14)
-                x = np.cos(np.arange(fine.n_rows) + 1.0)
-                np.testing.assert_allclose(sparse.restrict(x, fine.shape),
-                                           P.T @ x, rtol=1e-14, atol=1e-14)
-                assert coarse.validate()
-                assert coarse.symmetric == fine.symmetric
-                np.testing.assert_allclose(coarse.to_dense(), expected,
-                                           rtol=1e-12,
-                                           atol=1e-14 * abs(expected).max())
-                fine = coarse
+            systems.append(assemble(make_field(fam, dim), g))
+            assert systems[-1].hierarchy[-1].shape == (1,) * dim
+    # the uncoupled mode axis of the lift block system: at q = 4 it does not
+    # coarsen, so _galerkin keeps only its centre offset; at q = 3 it
+    # coarsens, and the full stencil must go through P^T K P
+    blocks = [_lift_blocks(9), _lift_blocks(7)]
+    assert [b.couplings.axes for b in blocks] == [(False, True, True)] * 2
+    assert [sparse.coarse_axes(b.shape) for b in blocks] == [(1, 2),
+                                                              (0, 1, 2)]
+    for fine in systems + blocks:
+        for coarse in fine.hierarchy:
+            P = _interpolation(fine.shape[0])
+            for m in fine.shape[1:]:
+                P = np.kron(P, _interpolation(m))
+            expected = P.T @ fine.to_dense() @ P
+            xc = np.sin(np.arange(coarse.n_rows) + 1.0)
+            np.testing.assert_allclose(sparse.prolong(xc, fine.shape),
+                                       P @ xc, rtol=1e-14, atol=1e-14)
+            x = np.cos(np.arange(fine.n_rows) + 1.0)
+            np.testing.assert_allclose(sparse.restrict(x, fine.shape),
+                                       P.T @ x, rtol=1e-14, atol=1e-14)
+            assert coarse.validate()
+            assert coarse.symmetric == fine.symmetric
+            np.testing.assert_allclose(coarse.to_dense(), expected,
+                                       rtol=1e-12,
+                                       atol=1e-14 * abs(expected).max())
+            fine = coarse
+
+
+def test_coupling_record_of_the_lift_block_system():
+    blocks = _lift_blocks(9)
+    assert blocks.shape == (4, 7, 7)
+    in_plane = sparse.stencil_offsets(3)[:, 0] == 0
+    assert blocks.couplings.rows == tuple(np.flatnonzero(in_plane))
+    assert len(blocks.couplings.rows) == 9
+    assert blocks.couplings.axes == (False, True, True)
+    x = np.sin(np.arange(blocks.n_rows) + 1.0)
+    ref = blocks.to_dense() @ x
+    np.testing.assert_allclose(matvec(blocks, x), ref, rtol=0,
+                               atol=1e-14 * np.abs(ref).max())
+    # the coarsest level (4, 1, 1) keeps only its centre row; its shifts
+    # repeat out of order, and the last is still the largest
+    coarsest = blocks.hierarchy[-1]
+    assert coarsest.shape == (4, 1, 1)
+    assert coarsest.couplings == ((13,), (False, False, False))
+    assert np.any(np.diff(coarsest.shifts) <= 0)
+    assert coarsest.shifts[-1] == np.abs(coarsest.shifts).max()
+
+
+def test_matvec_skipping_a_zero_row_is_bitwise_the_full_loop():
+    rng = np.random.default_rng(3)
+    g = build_grid(2, 1.0, 9)
+    K = assemble(make_field("identity", 2), g)
+    data = rng.standard_normal(K.data.shape) * K._on_grid()
+    data[4] = 1.0 + np.abs(data[4])
+    data[2] = 0.0  # offset (-1, 1) couples nothing
+    system = SparseSystem(K.shape, data, False)
+    assert system.validate()
+    assert system.couplings.rows == (0, 1, 3, 4, 5, 6, 7, 8)
+    x = rng.standard_normal(system.n_rows)
+    x[::5] = -0.0
+    n, pad = system.n_rows, system.shifts[-1]
+    xp = np.zeros(n + 2 * pad)
+    xp[pad:pad + n] = x
+    ref = np.zeros(n)
+    for row, s in zip(system.data, system.shifts):
+        ref += row * xp[pad + s:pad + s + n]
+    assert matvec(system, x).tobytes() == ref.tobytes()
 
 
 def test_poorly_coarsening_systems_match_dense_oracle():
@@ -300,7 +366,7 @@ def test_dense_solve_size_cap():
         dense_solve(big, np.zeros(n))
 
 
-def test_csr_invariants_on_assembled_systems():
+def test_stencil_invariants_on_assembled_systems():
     for dim, n in ((2, 9), (3, 5)):
         g = build_grid(dim, 1.0, n)
         for fam in ("identity", "nonsym_skew"):
