@@ -25,8 +25,9 @@ from .sparse import SparseSystem, stencil_offsets
 # bilinear basis with constant coefficients, O(h^2)-consistent for smooth A.
 _GAUSS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
-# elements per assembly batch, rounded down to whole layers along axis 0
-_BATCH = 1 << 16
+# elements per assembly batch, rounded down to whole layers along axis 0; the
+# batch temporaries set the peak memory of a large assembly
+_BATCH = 1 << 14
 
 
 @dataclass(frozen=True)

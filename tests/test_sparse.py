@@ -288,13 +288,71 @@ def test_matvec_skipping_a_zero_row_is_bitwise_the_full_loop():
     assert system.couplings.rows == (0, 1, 3, 4, 5, 6, 7, 8)
     x = rng.standard_normal(system.n_rows)
     x[::5] = -0.0
+    assert matvec(system, x).tobytes() == _full_loop(system, x).tobytes()
+
+
+def _full_loop(system, x):
+    """The unblocked matvec over every stencil row, zero or not."""
     n, pad = system.n_rows, system.shifts[-1]
     xp = np.zeros(n + 2 * pad)
     xp[pad:pad + n] = x
-    ref = np.zeros(n)
+    y = np.zeros(n)
     for row, s in zip(system.data, system.shifts):
-        ref += row * xp[pad + s:pad + s + n]
-    assert matvec(system, x).tobytes() == ref.tobytes()
+        y += row * xp[pad + s:pad + s + n]
+    return y
+
+
+def _random_stencil(shape, rng):
+    """A nonsymmetric stencil with random entries at every on-grid coupling."""
+    system = SparseSystem(shape, np.zeros((3 ** len(shape), np.prod(shape))),
+                          False)
+    data = rng.standard_normal(system.data.shape) * system._on_grid()
+    centre = (len(data) - 1) // 2
+    data[centre] = 1.0 + np.abs(data[centre])
+    return SparseSystem(shape, data, False)
+
+
+@pytest.mark.parametrize("block", [1, 3, 100])
+def test_blocked_matvec_seams_are_bitwise_the_full_loop(monkeypatch, block):
+    rng = np.random.default_rng(5)
+    blocks = _lift_blocks(9)
+    # the lift coarsest level (4, 1, 1) has a length-1 axis, and its shifts
+    # repeat out of order
+    systems = [_random_stencil((7, 7, 7), rng), blocks,
+               _random_stencil(blocks.hierarchy[-1].shape, rng)]
+    # 1: a seam after every node; 3 and 100: a partial last block on each
+    monkeypatch.setattr(sparse, "_BLOCK", block)
+    for system in systems:
+        assert system.validate()
+        x = rng.standard_normal(system.n_rows)
+        x[::3] = -0.0
+        x[1::7] = 0.0
+        assert matvec(system, x).tobytes() == _full_loop(system, x).tobytes()
+
+
+@pytest.mark.parametrize("family", ["scalar_trig", "nonsym_skew"])
+def test_blocked_solve_is_bitwise_the_single_block_solve(monkeypatch, family):
+    g = build_grid(3, 1.0, 9)
+    rhs = load_delta(g, g.center_index + 1)
+    K = assemble(make_field(family, 3), g)
+    u, info = solve(K, rhs)
+    assert K.n_rows <= sparse._BLOCK  # one block by default
+    monkeypatch.setattr(sparse, "_BLOCK", 7)
+    u7, info7 = solve(assemble(make_field(family, 3), g), rhs)
+    assert u7.tobytes() == u.tobytes()
+    assert info7 == info
+
+
+def test_nnz_counts_the_on_grid_couplings_of_the_coupled_rows():
+    g3, g2 = build_grid(3, 1.0, 9), build_grid(2, 1.0, 17)
+    systems = [assemble(make_field("scalar_trig", 3), g3),
+               assemble(make_field("nonsym_skew", 2), g2), _lift_blocks(9)]
+    for system in systems:
+        on_grid = system._on_grid()[list(system.couplings.rows)]
+        assert system.nnz == on_grid.sum()
+    # every row of an assembled stencil couples; the lift block system's
+    # 9 in-plane rows bill 4 modes of 7 x 7 nodes
+    assert [s.nnz for s in systems] == [19 ** 3, 43 ** 2, 4 * 19 ** 2]
 
 
 def test_poorly_coarsening_systems_match_dense_oracle():
