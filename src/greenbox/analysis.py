@@ -1,5 +1,7 @@
 """Measurement machinery: annulus statistics, weak-Lorentz norms, the
-embedding sandwich, decay and log-growth fits, and the interior bound checks.
+embedding sandwich, decay and log-growth fits, and the interior ratio.
+Beyond the sandwich's round-off inequality tests, every pinned expectation
+and every check verdict lives in ``verify``.
 
 The radial fit window is [4h, R/4] by default: inside 4h the discrete delta
 pollutes the column, outside R/4 the Dirichlet boundary does.  For the 2D
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import green as green_mod
-from . import mesh
 from .errors import ConfigError
 
 DEFAULT_ETA = 0.1
@@ -53,8 +53,7 @@ def fit_window(grid, kind="power"):
     return (4.0 * grid.h, outer)
 
 
-def make_annuli(grid, center, window, count=9, eta=DEFAULT_ETA,
-                min_nodes=MIN_SHELL_NODES):
+def make_annuli(grid, center, window, count=9, eta=DEFAULT_ETA):
     """Log-spaced shells inside ``window``, validated to hold enough nodes."""
     r_min, r_max = window
     if not 0 < r_min < r_max:
@@ -65,9 +64,9 @@ def make_annuli(grid, center, window, count=9, eta=DEFAULT_ETA,
     dist = np.linalg.norm(grid.node_coords - np.asarray(center), axis=1)
     for r in radii:
         n_in = int(((dist >= r * (1 - eta)) & (dist <= r * (1 + eta))).sum())
-        if n_in < min_nodes:
-            raise ConfigError(
-                f"shell at r = {r:g} holds only {n_in} nodes (< {min_nodes})")
+        if n_in < MIN_SHELL_NODES:
+            raise ConfigError(f"shell at r = {r:g} holds only {n_in} nodes "
+                              f"(< {MIN_SHELL_NODES})")
     return spec
 
 
@@ -244,117 +243,23 @@ def fit_log_growth(radii, stats, window):
                            fit_window=tuple(float(w) for w in window))
 
 
-@dataclass
-class RatioReport:
-    """Interior gradient-over-value ratios r sup|grad G| / sup|G|."""
+def interior_ratio(col, gmag, x, r):
+    """r sup_{B_{r/2}(x)} |grad G| over sup_{B_r(x)} |G| around node ``x``.
 
-    records: list  # (center, r, ratio)
-    max_ratio: float
-    variation: float  # max/min over the tested radii
-    bounded: bool     # variation < 4
-
-
-def lipschitz_ratio_check(col, x_list, r_fractions=(2.0 / 3.0,)):
-    """Discrete interior estimate: ratio(x, r) = r sup_{B_{r/2}(x)} |grad G|
-    over sup_{B_r(x)} |G|, with r = fraction * |x - y|.
-
-    ``x_list`` holds node indices; each is tested at every fraction in
-    ``r_fractions`` (fractions below 1 keep the source outside the ball).
-    Per tested pair: r >= 8h and B_r(x) inside the box.  Ratios are
-    scale-invariant in the column.  PASS when the per-radius maxima vary by
-    less than a factor 4 over the distinct radii.
+    ``gmag`` holds |grad G| at the nodes of ``col``; the ratio is
+    scale-invariant in the column.  The ball B_r(x) must have r >= 8h, lie
+    inside the box and leave out the source.
     """
     grid = col.grid
     coords = grid.node_coords
-    y = col.source_coords
-    gmag = np.linalg.norm(mesh.gradient_field(col.values, grid), axis=1)
-    records = []
-    per_radius = {}
-    for x in x_list:
-        xc = coords[x]
-        rho = float(np.linalg.norm(xc - y))
-        for frac in r_fractions:
-            if not 0.0 < frac < 1.0:
-                raise ConfigError("radius fractions must lie in (0, 1)")
-            r = frac * rho
-            if r < 8.0 * grid.h * (1 - 1e-12):
-                raise ConfigError(f"ball radius {r:g} below 8h")
-            if np.any(np.abs(xc) + r > grid.half_width * (1 + 1e-12)):
-                raise ConfigError("test ball leaves the domain")
-            dist = np.linalg.norm(coords - xc, axis=1)
-            sup_g = float(np.abs(col.values[dist <= r * (1 + 1e-9)]).max())
-            sup_dg = float(gmag[dist <= 0.5 * r * (1 + 1e-9)].max())
-            ratio = r * sup_dg / sup_g
-            records.append((int(x), float(r), ratio))
-            per_radius.setdefault(round(r, 12), []).append(ratio)
-    max_per_r = {r: max(v) for r, v in per_radius.items()}
-    lo, hi = min(max_per_r.values()), max(max_per_r.values())
-    return RatioReport(records=records, max_ratio=hi, variation=hi / lo,
-                       bounded=hi / lo < 4.0)
-
-
-@dataclass
-class UniformBoundReport:
-    """Per-(R, y) fitted constants and weak norms, with spread diagnostics."""
-
-    R_list: tuple
-    y_list: tuple
-    records: dict          # name -> {(R, y): value}
-    spreads: dict          # name -> max/min
-    passed: bool
-
-
-def uniform_bound_check(field, y_list, R_list, h, *, eta=DEFAULT_ETA,
-                        include_mixed=True, rel_tol=1e-10, max_spread=1.25):
-    """Fitted decay/growth constants and ||grad G_R||_{d/(d-1),infty} across
-    nested boxes and source positions.
-
-    PASS when every tracked quantity varies by less than ``max_spread``
-    (max/min) over all (R, y) combinations.  In 2D the G-quantity is the
-    log-growth slope; in higher dimensions it is the power-fit constant.
-    """
-    d = field.dim
-    records = {"G": {}, "grad": {}, "weak_grad": {}}
-    if include_mixed:
-        records["mixed"] = {}
-    for R in R_list:
-        grid = green_mod.nested_grid(d, R, h)
-        system = mesh.assemble(field, grid)
-        for y_phys in y_list:
-            y = grid.node_at(y_phys)
-            col = green_mod.green_column(field, grid, y, system=system,
-                                         rel_tol=rel_tol)
-            key = (float(R), tuple(float(c) for c in y_phys))
-            win_pow = fit_window(grid, "power")
-            spec = make_annuli(grid, col.source_coords, win_pow, eta=eta)
-            if d == 2:
-                # the log slope is normalization-independent while the
-                # column is one-signed, so fit the raw positive column on
-                # the full window
-                stats = annulus_average(col.values, grid, spec)
-                records["G"][key] = fit_log_growth(
-                    spec.radii, stats, win_pow).slope
-            else:
-                stats = annulus_average(col.values, grid, spec)
-                records["G"][key] = fit_power_decay(
-                    spec.radii, stats, win_pow, "G").fitted_constant
-            gmag = np.linalg.norm(mesh.gradient_field(col.values, grid), axis=1)
-            gstats = annulus_average(gmag, grid, spec)
-            records["grad"][key] = fit_power_decay(
-                spec.radii, gstats, win_pow, "grad_x").fitted_constant
-            records["weak_grad"][key] = weak_lorentz_norm(
-                gmag, grid.h**d, d / (d - 1.0))
-            if include_mixed:
-                tensor = green_mod.mixed_derivative(field, grid, y,
-                                                    system=system,
-                                                    rel_tol=rel_tol)
-                tmag = np.sqrt((tensor**2).sum(axis=(1, 2)))
-                tstats = annulus_average(tmag, grid, spec)
-                records["mixed"][key] = fit_power_decay(
-                    spec.radii, tstats, win_pow, "mixed").fitted_constant
-    spreads = {name: max(vals.values()) / min(vals.values())
-               for name, vals in records.items()}
-    passed = all(s < max_spread for s in spreads.values())
-    return UniformBoundReport(R_list=tuple(R_list),
-                              y_list=tuple(tuple(y) for y in y_list),
-                              records=records, spreads=spreads, passed=passed)
+    xc = coords[x]
+    if r < 8.0 * grid.h * (1 - 1e-12):
+        raise ConfigError(f"ball radius {r:g} below 8h")
+    if np.any(np.abs(xc) + r > grid.half_width * (1 + 1e-12)):
+        raise ConfigError("test ball leaves the domain")
+    if r * (1 + 1e-9) >= np.linalg.norm(xc - col.source_coords):
+        raise ConfigError("test ball holds the source")
+    dist = np.linalg.norm(coords - xc, axis=1)
+    sup_g = float(np.abs(col.values[dist <= r * (1 + 1e-9)]).max())
+    sup_dg = float(gmag[dist <= 0.5 * r * (1 + 1e-9)].max())
+    return r * sup_dg / sup_g

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -104,18 +105,14 @@ def dump_field(values, grid, path):
     Floats carry 17 significant digits, so identical inputs produce
     byte-identical files.
     """
-    d = grid.dim
-    header = ",".join(f"x{k + 1}" for k in range(d)) + ",value"
-    lines = [header]
-    coords = grid.node_coords
     vals = np.asarray(values).reshape(-1)
     if vals.size != grid.n_nodes:
         raise ConfigError("field length does not match the grid")
-    for i in range(grid.n_nodes):
-        cells = [f"{coords[i, k]:.17g}" for k in range(d)]
-        cells.append(f"{vals[i]:.17g}")
-        lines.append(",".join(cells))
-    write_atomic(path, "\n".join(lines) + "\n")
+    buf = io.StringIO()
+    buf.write(",".join(f"x{k + 1}" for k in range(grid.dim)) + ",value\n")
+    np.savetxt(buf, np.column_stack([grid.node_coords, vals]), fmt="%.17g",
+               delimiter=",")
+    write_atomic(path, buf.getvalue())
     return path
 
 
@@ -194,7 +191,10 @@ def cmd_verify(cfg, args):
     lorentz and lift run their presets; decay runs decay3d, or log2d at dim 2.
     """
     if args.command == "decay":
-        spec = "decay3d" if int(cfg.get("dim", 3)) == 3 else "log2d"
+        dim = int(cfg.get("dim", 3))
+        if dim not in (2, 3):
+            raise ConfigError(f"decay runs dim = 2 or 3, not {dim}")
+        spec = "decay3d" if dim == 3 else "log2d"
     elif args.command == "verify":
         spec = args.preset or cfg.get("experiments", "all")
     else:

@@ -6,11 +6,10 @@ from greenbox.analysis import (AnnulusSpec, annulus_average,
                                embedding_constant,
                                embedding_constant_inverted_prefactor,
                                fit_log_growth, fit_power_decay,
-                               fit_two_box_decay, fit_window,
-                               lebesgue_norm, lipschitz_ratio_check,
-                               lorentz_sandwich_check,
-                               make_annuli, uniform_bound_check,
-                               weak_lorentz_norm)
+                               fit_two_box_decay, fit_window, interior_ratio,
+                               lebesgue_norm, lorentz_sandwich_check,
+                               make_annuli, weak_lorentz_norm)
+from greenbox.mesh import gradient_field
 
 
 def test_annulus_average_constant():
@@ -186,40 +185,34 @@ def test_fit_window_log_cap():
     assert fit_window(g_small, "log") == (4 * g_small.h, 0.25)
 
 
-def test_ratio_scale_invariance():
+def _column_and_gmag():
     f = make_field("identity", 2)
     g = build_grid(2, 1.0, 65)
     col = green_column(f, g, g.center_index)
-    xs = [g.node_at((12 * g.h, 0.0))]
-    base = lipschitz_ratio_check(col, xs)
+    return col, np.linalg.norm(gradient_field(col.values, g), axis=1)
+
+
+def test_ratio_scale_invariance():
+    col, gmag = _column_and_gmag()
+    g = col.grid
+    x = g.node_at((12 * g.h, 0.0))
+    base = interior_ratio(col, gmag, x, 8 * g.h)
     col.values = col.values * 10.0
-    scaled = lipschitz_ratio_check(col, xs)
-    assert scaled.max_ratio == pytest.approx(base.max_ratio, rel=1e-12)
+    scaled = interior_ratio(col, gmag * 10.0, x, 8 * g.h)
+    assert scaled == pytest.approx(base, rel=1e-12)
 
 
 def test_ratio_preconditions():
-    f = make_field("identity", 2)
-    g = build_grid(2, 1.0, 65)
-    col = green_column(f, g, g.center_index)
-    near = [g.node_at((4 * g.h, 0.0))]
-    with pytest.raises(ConfigError):
-        lipschitz_ratio_check(col, near)  # r = (2/3) 4h < 8h
-    with pytest.raises(ConfigError):
-        lipschitz_ratio_check(col, [g.node_at((12 * g.h, 0.0))],
-                              r_fractions=(1.5,))
-    edge = [g.node_at((g.half_width - g.h, 0.0))]
-    with pytest.raises(ConfigError):
-        lipschitz_ratio_check(col, edge, r_fractions=(0.9,))
-
-
-def test_uniform_bound_check_small():
-    f = make_field("identity", 2)
-    rep = uniform_bound_check(f, [(0.0, 0.0)], (1.0, 2.0), h=1.0 / 32.0,
-                              include_mixed=False)
-    assert rep.passed
-    assert set(rep.records) == {"G", "grad", "weak_grad"}
-    for spread in rep.spreads.values():
-        assert spread < 1.25
+    col, gmag = _column_and_gmag()
+    g = col.grid
+    x = g.node_at((12 * g.h, 0.0))
+    with pytest.raises(ConfigError, match="below 8h"):
+        interior_ratio(col, gmag, x, 4 * g.h)
+    with pytest.raises(ConfigError, match="holds the source"):
+        interior_ratio(col, gmag, x, 12 * g.h)
+    edge = g.node_at((g.half_width - g.h, 0.0))
+    with pytest.raises(ConfigError, match="leaves the domain"):
+        interior_ratio(col, gmag, edge, 8 * g.h)
 
 
 def test_lebesgue_norm():

@@ -1,10 +1,13 @@
+import inspect
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from greenbox import ConfigError, build_grid, green, green_column, make_field
+from greenbox import (ConfigError, build_grid, green, green_column,
+                      make_field, verify)
 from greenbox.cli import dump_field, main, parse_config
 
 
@@ -62,6 +65,20 @@ def test_dump_field_3d_row_count(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x1,x2,x3,value"
     assert len(lines) == 1 + 729
+
+
+@pytest.mark.parametrize("dim, n", [(2, 5), (3, 9)])
+def test_dump_field_bytes_match_row_loop(tmp_path, dim, n):
+    g = build_grid(dim, 1.0, n)
+    vals = np.random.default_rng(3).normal(size=g.n_nodes)
+    vals[:4] = (-0.0, np.inf, -np.inf, 1e-320)
+    # reference: one f-string per cell, row by row
+    header = ",".join(f"x{k + 1}" for k in range(dim)) + ",value"
+    rows = [",".join(f"{c:.17g}" for c in (*g.node_coords[i], vals[i]))
+            for i in range(g.n_nodes)]
+    path = tmp_path / "f.csv"
+    dump_field(vals, g, str(path))
+    assert path.read_bytes() == ("\n".join([header] + rows) + "\n").encode()
 
 
 def test_cli_solve_and_dump(tmp_path):
@@ -183,6 +200,32 @@ def test_cli_decay_alias_follows_config_dim(tmp_path):
     assert [c["name"] for c in report["checks"]] == [
         "log2d.G.identity", "log2d.grad.identity", "log2d.mixed.identity",
         "log2d.ratio.identity"]
+
+
+def test_cli_decay_rejects_other_dims(tmp_path, capsys):
+    cfg = write(tmp_path / "d5.cfg", "dim = 5\n")
+    assert main(["decay", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_runner_parameters_are_the_routed_keys():
+    # every settable value of a runner is a config key (family as families);
+    # each other expectation is a literal in the runner
+    table = {
+        "decay3d": {"families", "R", "n", "rel_tol", "radii_count", "eta"},
+        "log2d": {"families", "R", "n", "rel_tol", "radii_count", "eta"},
+        "monotone": {"families", "rel_tol"},
+        "adjoint": {"n", "R", "rel_tol"},
+        "lorentz": {"seed"},
+        "uniform": {"families", "rel_tol"},
+        "lift": {"R", "rel_tol"},
+        "oracle": {"families", "rel_tol"},
+        "selftest-fail": set(),
+    }
+    got = {name: set(inspect.signature(runner).parameters)
+           for name, runner in verify.PRESETS.items()}
+    assert got == table
 
 
 def test_cli_threads_flag_removed():

@@ -125,7 +125,8 @@ def test_normalized_log_profile_constant_reproducible_across_n():
 def test_domain_growth_monotone_small():
     rep = domain_growth(make_field("identity", 2), (0.0, 0.0), (1.0, 2.0),
                         h=1.0 / 8.0)
-    assert rep.monotone
+    scale = max(float(c.values.max()) for c in rep.columns)
+    assert rep.worst_violation <= 1e-10 * scale
     drift = np.log(2.0) / (2.0 * np.pi)
     assert abs(rep.drifts[0] / drift - 1.0) <= 0.10
 
@@ -133,7 +134,6 @@ def test_domain_growth_monotone_small():
 def test_domain_growth_single_R_trivial():
     rep = domain_growth(make_field("diag_aniso", 2), (0.0, 0.0), (1.0,),
                         h=1.0 / 8.0)
-    assert rep.monotone
     assert rep.worst_violation == 0.0
     assert rep.drifts == []
 
