@@ -72,7 +72,8 @@ def make_field(family, dim=2, params=None):
         A = I.  No parameters.
     scalar_trig
         A(x) = (base + amp * prod_i sin(2 pi freq x_i)) I.
-        params = (base, amp, freq), default (2, 1, 1).
+        params = (base, amp, freq), default (2, 1, 1); freq must be an
+        integer, or A would not be Z^d-periodic.
     diag_aniso
         A(x) diagonal with entries b_i + m_i sin(2 pi x_{i+1 mod d}).
         params = (b_1..b_d, m_1..m_d), default bases (2, 3[, 2.5]) and
@@ -94,7 +95,9 @@ def make_field(family, dim=2, params=None):
         params = params or (2.0, 1.0, 1.0)
         if len(params) != 3:
             raise ConfigError("scalar_trig expects params (base, amp, freq)")
-        base, amp, _freq = params
+        base, amp, freq = params
+        if not freq.is_integer():
+            raise ConfigError(f"scalar_trig freq must be an integer, got {freq}")
         alpha = base - abs(amp)
         if alpha <= 0.0:
             raise ConfigError("scalar_trig base must exceed |amp|")

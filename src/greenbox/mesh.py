@@ -6,6 +6,10 @@ K_ij = int (grad phi_i)^T A grad phi_j with multilinear nodal basis
 functions and tensor 2-point Gauss quadrature.  Boundary nodes are
 eliminated: each pair of local element corners adds a shifted sub-box of
 element entries into one row of the 3^d interior-node stencil.
+
+A is Z^d-periodic, so when p h is an integer the stencil row of an interior
+node depends only on its index mod p: ``assemble`` tiles the rows of one
+period cell (``cell_stencil``) over the box.
 """
 
 from __future__ import annotations
@@ -228,14 +232,61 @@ def _assemble_axes(matrix_fn, axes, h, symmetric):
     return SparseSystem(ishape, data.reshape(3**d, -1), symmetric)
 
 
-def assemble(field, grid):
-    """Stiffness matrix of -div(A grad .) over the grid's interior nodes."""
+def cell_stencil(field, grid):
+    """Period in nodes and stiffness rows of one period cell of the grid.
+
+    p is the smallest node count with p h an integer (to 1e-9, as in
+    ``even_steps``).  The cell is ``grid.axis[:p + 4]`` along every axis:
+    its interior rows 1..p see only cell nodes, so they are complete periodic
+    rows.  Rolled by one node, they come back as ``rows`` of shape
+    (3^d, p^d), laid out as ``SparseSystem.data`` on a (p,) * d grid, and
+    box interior node j takes row j mod p on every axis.  When no
+    p <= n - 4 exists, p is None and ``rows`` is the stencil of the whole
+    box, of shape (3^d, (n - 2)^d).
+    """
     if field.dim != grid.dim:
         raise ConfigError(
             f"field dimension {field.dim} does not match grid dimension {grid.dim}")
-    return _assemble_axes(lambda pts: fields.evaluate(field, pts),
-                          [grid.axis] * grid.dim, grid.h,
-                          symmetric=fields.is_symmetric(field))
+    d, n = grid.dim, grid.n
+    cycles = grid.h * np.arange(1, n - 3)
+    hits = np.flatnonzero((np.abs(cycles - np.rint(cycles)) <= 1e-9)
+                          & (np.rint(cycles) >= 1))
+    p = int(hits[0]) + 1 if hits.size else None
+    axis = grid.axis if p is None else grid.axis[:p + 4]
+    system = _assemble_axes(lambda pts: fields.evaluate(field, pts),
+                            [axis] * d, grid.h, fields.is_symmetric(field))
+    if p is None:
+        return None, system.data
+    rows = system.data.reshape((3**d,) + system.shape)
+    cell = rows[(slice(None),) + (slice(1, p + 1),) * d]
+    return p, np.roll(cell, 1, axis=tuple(range(1, d + 1))).reshape(3**d, -1)
+
+
+def assemble(field, grid):
+    """Stiffness matrix of -div(A grad .) over the grid's interior nodes.
+
+    Relies on A being Z^d-periodic: the rows of one period cell
+    (``cell_stencil``) are tiled over the box, and the couplings to nodes
+    off the grid are set to exactly zero.
+    """
+    p, rows = cell_stencil(field, grid)
+    d, m = grid.dim, grid.n - 2
+    symmetric = fields.is_symmetric(field)
+    if p is None:
+        return SparseSystem((m,) * d, rows, symmetric)
+    # one gather into C order: interior node j reads cell row j mod p
+    tile = np.arange(m) % p
+    cell_of = np.ravel_multi_index(np.ix_(*[tile] * d), (p,) * d).ravel()
+    data = rows.take(cell_of, axis=1)
+    # zero the couplings that leave the grid, face by face: a multiply by a
+    # mask would leave -0.0, and a (3^d, N) boolean mask raised the peak
+    # memory of a 3D n = 65 column by over 1 MB
+    box = data.reshape((3**d,) + (m,) * d)
+    for k, off in enumerate(stencil_offsets(d)):
+        for ax, o in enumerate(off):
+            if o:
+                box[(k,) + (slice(None),) * ax + (0 if o < 0 else m - 1,)] = 0.0
+    return SparseSystem((m,) * d, data, symmetric)
 
 
 def load_delta(grid, y):

@@ -138,6 +138,14 @@ def test_cli_non_finite_override_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_cli_non_integer_frequency_exit_2(tmp_path, capsys):
+    cfg = write(tmp_path / "solve.cfg",
+                "family = scalar_trig\ndim = 2\nn = 9\nparams = 2,1,0.5\n")
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "freq" in err[0]
+
+
 def test_cli_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
     def oversized(*args, **kwargs):
         raise MemoryError("Unable to allocate 8.00 TiB")

@@ -110,6 +110,13 @@ def test_periodicity_half_integer_frequency_false():
     assert not verify_periodicity(f, trials=64, seed=4)
 
 
+def test_scalar_trig_non_integer_frequency_rejected():
+    # freq 0.5 gives period 2, not 1, which tiled assembly would not notice
+    with pytest.raises(ConfigError, match="freq"):
+        make_field("scalar_trig", 2, (2.0, 1.0, 0.5))
+    assert verify_periodicity(make_field("scalar_trig", 3, (2.0, 1.0, 2.0)))
+
+
 def test_transpose_field():
     skew = make_field("nonsym_skew", 2)
     skew_t = transpose_field(skew)

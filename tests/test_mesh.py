@@ -269,6 +269,46 @@ def test_assembler_nonsymmetric_variable_coefficient(lengths):
     _assert_matches(K, ref)
 
 
+@pytest.mark.parametrize("dim,R,n,period", [
+    (3, 2.0, 65, 16), (2, 3.0, 65, 32), (3, 3.0, 33, 16), (3, 2.0, 33, 8),
+    (2, 1.5, 65, None)])  # h = 3/64 needs p = 64 > n - 4: the box itself
+def test_cell_stencil_period(dim, R, n, period):
+    p, rows = mesh.cell_stencil(make_field("scalar_trig", dim),
+                                build_grid(dim, R, n))
+    assert p == period
+    assert rows.shape == (3**dim, (period or n - 2) ** dim)
+
+
+@pytest.mark.parametrize("dim,R,n", [(2, 3.0, 65), (3, 3.0, 33), (2, 1.5, 65)])
+@pytest.mark.parametrize("family",
+                         ["identity", "scalar_trig", "diag_aniso", "nonsym_skew"])
+def test_tiled_assembly_matches_direct(dim, R, n, family):
+    # 1/h is not an integer on any of these grids
+    g = build_grid(dim, R, n)
+    f = make_field(family, dim)
+    K = assemble(f, g)
+    direct = mesh._assemble_axes(lambda pts: fields.evaluate(f, pts),
+                                 [g.axis] * dim, g.h, fields.is_symmetric(f))
+    assert K.validate()
+    assert K.data.flags["C_CONTIGUOUS"]  # strided rows would slow every matvec
+    assert K.symmetric == direct.symmetric
+    assert not np.signbit(K.data[~K._on_grid()]).any()
+    scale = np.abs(direct.data).max()
+    assert np.abs(K.data - direct.data).max() <= 1e-15 * scale
+
+
+def test_assemble_evaluates_one_period_cell(monkeypatch):
+    seen, evaluate = [], fields.evaluate
+
+    def counting(field, pts):
+        seen.append(len(pts))
+        return evaluate(field, pts)
+    monkeypatch.setattr(fields, "evaluate", counting)
+    g = build_grid(3, 2.0, 33)  # h = 1/8: period p = 8 of 31 interior nodes
+    assemble(make_field("scalar_trig", 3), g)
+    assert sum(seen) == 8 * (8 + 3) ** 3  # not 8 * 32^3 for the whole box
+
+
 def test_batch_seams_match_single_batch(monkeypatch):
     g = build_grid(3, 1.0, 9)
     slab = build_slab(build_grid(2, 1.0, 7), 2.0)
