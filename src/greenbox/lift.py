@@ -115,7 +115,7 @@ def lifted_column(field, slab, y, *, system=None, rel_tol=1e-10):
     rhs = np.multiply.outer(phi[:, (slab.n_layers - 3) // 2],
                             mesh.load_delta(slab.base, y))
     data = np.zeros((3, 9, q, system.n_rows))  # t-offset, x-offset, mode, node
-    data[1] = (mu[:, None] * system.data[:, None]
+    data[1] = (mu[:, None] * system.expanded()[:, None]
                + lam[:, None] * mass_2d(slab.base).data[:, None])
     blocks = sparse.SparseSystem((q,) + ishape, data.reshape(27, -1),
                                  system.symmetric)

@@ -9,7 +9,7 @@ element entries into one row of the 3^d interior-node stencil.
 
 A is Z^d-periodic, so when p h is an integer the stencil row of an interior
 node depends only on its index mod p: ``assemble`` tiles the rows of one
-period cell (``cell_stencil``) over the box.
+period cell (``cell_stencil``) over one period slab of the box.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import fields
+from . import fields, sparse
 from .errors import ConfigError, SourcePlacementError
 from .sparse import SparseSystem, stencil_offsets
 
@@ -235,8 +235,8 @@ def _assemble_axes(matrix_fn, axes, h, symmetric):
 def cell_stencil(field, grid):
     """Period in nodes and stiffness rows of one period cell of the grid.
 
-    p is the smallest node count with p h an integer (to 1e-9, as in
-    ``even_steps``).  The cell is ``grid.axis[:p + 4]`` along every axis:
+    p is the smallest node count with p h an integer to 1e-12: tiling treats
+    p h as exact.  The cell is ``grid.axis[:p + 4]`` along every axis:
     its interior rows 1..p see only cell nodes, so they are complete periodic
     rows.  Rolled by one node, they come back as ``rows`` of shape
     (3^d, p^d), laid out as ``SparseSystem.data`` on a (p,) * d grid, and
@@ -249,7 +249,7 @@ def cell_stencil(field, grid):
             f"field dimension {field.dim} does not match grid dimension {grid.dim}")
     d, n = grid.dim, grid.n
     cycles = grid.h * np.arange(1, n - 3)
-    hits = np.flatnonzero((np.abs(cycles - np.rint(cycles)) <= 1e-9)
+    hits = np.flatnonzero((np.abs(cycles - np.rint(cycles)) <= 1e-12)
                           & (np.rint(cycles) >= 1))
     p = int(hits[0]) + 1 if hits.size else None
     axis = grid.axis if p is None else grid.axis[:p + 4]
@@ -266,26 +266,28 @@ def assemble(field, grid):
     """Stiffness matrix of -div(A grad .) over the grid's interior nodes.
 
     Relies on A being Z^d-periodic: the rows of one period cell
-    (``cell_stencil``) are tiled over the box, and the couplings to nodes
-    off the grid are set to exactly zero.
+    (``cell_stencil``) are tiled over ``sparse.slab_planes`` node planes
+    along axis 0, and the couplings to nodes off the grid are set to exactly
+    zero, except the axis-0 face couplings of a slab (see ``SparseSystem``).
     """
     p, rows = cell_stencil(field, grid)
     d, m = grid.dim, grid.n - 2
     symmetric = fields.is_symmetric(field)
     if p is None:
         return SparseSystem((m,) * d, rows, symmetric)
+    q = sparse.slab_planes(p, (m,) * d)
     # one gather into C order: interior node j reads cell row j mod p
-    tile = np.arange(m) % p
-    cell_of = np.ravel_multi_index(np.ix_(*[tile] * d), (p,) * d).ravel()
+    tile = [np.arange(q) % p] + [np.arange(m) % p] * (d - 1)
+    cell_of = np.ravel_multi_index(np.ix_(*tile), (p,) * d).ravel()
     data = rows.take(cell_of, axis=1)
     # zero the couplings that leave the grid, face by face: a multiply by a
     # mask would leave -0.0, and a (3^d, N) boolean mask raised the peak
     # memory of a 3D n = 65 column by over 1 MB
-    box = data.reshape((3**d,) + (m,) * d)
+    box = data.reshape((3**d, q) + (m,) * (d - 1))
     for k, off in enumerate(stencil_offsets(d)):
         for ax, o in enumerate(off):
-            if o:
-                box[(k,) + (slice(None),) * ax + (0 if o < 0 else m - 1,)] = 0.0
+            if o and (ax or q == m):
+                box[(k,) + (slice(None),) * ax + (0 if o < 0 else -1,)] = 0.0
     return SparseSystem((m,) * d, data, symmetric)
 
 

@@ -15,13 +15,16 @@ output is bitwise that of the unblocked loop, signed zeros included.
 Matvecs and inner products run in numpy's own fixed-order loops, never in
 BLAS, so runs with identical inputs are bitwise reproducible at any BLAS
 thread count.
+A periodic stencil may store only a slab of ``period`` node planes along
+axis 0 (see ``SparseSystem``); its axis-0 face couplings then meet the zero
+padding of x and add +-0, which leaves y (never -0) bitwise unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -62,19 +65,30 @@ class SparseSystem:
     """3^d-point stencil operator over the nodes of a grid of ``shape``.
 
     ``data[k, i]`` couples node i (C order) to its neighbour at
-    ``stencil_offsets(d)[k]``.  Entries whose neighbour is off the grid are
-    exactly zero, and the diagonal (centre row) is positive (coercivity of
-    the discrete form).  The ``symmetric`` flag is set by the assembler from
-    the coefficient family.
+    ``stencil_offsets(d)[k]``; C-contiguous, it holds the first ``period``
+    node planes along axis 0, and node plane j uses plane j mod period.
+    Entries whose neighbour is off the grid are exactly zero, except the
+    periodic axis-0 face couplings of a slab (period < shape[0]).  The
+    diagonal (centre row) is positive (coercivity of the discrete form).
+    The ``symmetric`` flag is set by the assembler from the coefficient
+    family.
     """
 
     shape: tuple
     data: np.ndarray
     symmetric: bool
 
+    def __post_init__(self):
+        if not self.data.flags["C_CONTIGUOUS"]:
+            raise ConfigError("stencil data must be C-contiguous")
+
     @property
     def n_rows(self):
         return math.prod(self.shape)
+
+    @property
+    def period(self):
+        return self.data.shape[-1] // math.prod(self.shape[1:])
 
     @cached_property
     def nnz(self):
@@ -125,30 +139,62 @@ class SparseSystem:
                  for off in stencil_offsets(len(self.shape)))
         return np.array([inside[tuple(v)].ravel() for v in views])
 
+    def expanded(self, rows=slice(None)):
+        """``data[rows]`` in the full layout: node plane j reads plane j mod
+        period, and the axis-0 face couplings of a slab become exactly zero."""
+        m, p = self.shape[0], self.period
+        if p == m:
+            return self.data[rows]
+        box = self.data[rows].reshape(-1, p, self.data.shape[1] // p).take(
+            np.arange(m) % p, axis=1)
+        for row, o in zip(box, stencil_offsets(len(self.shape))[rows, 0]):
+            if o:
+                row[0 if o < 0 else -1] = 0.0
+        return box.reshape(len(box), -1)
+
     def diagonal(self):
-        return self.data[(len(self.data) - 1) // 2].copy()
+        return self.expanded([(len(self.data) - 1) // 2])[0]
 
     def to_dense(self):
         dense = np.zeros((self.n_rows, self.n_rows))
         k, i = np.nonzero(self._on_grid())
-        dense[i, i + self.shifts[k]] = self.data[k, i]
+        dense[i, i + self.shifts[k]] = self.expanded()[k, i]
         return dense
 
     def validate(self):
         """Check the stencil invariants; raises ConfigError on violation."""
-        if self.data.shape != (3 ** len(self.shape), self.n_rows):
+        plane = math.prod(self.shape[1:])
+        if (self.data.shape != (3 ** len(self.shape), self.period * plane)
+                or not 0 < self.period <= self.shape[0]):
             raise ConfigError(f"stencil data shape {self.data.shape} does not "
                               f"fit grid shape {tuple(self.shape)}")
-        if np.any(self.data[~self._on_grid()] != 0.0):
+        if np.any(self.expanded()[~self._on_grid()] != 0.0):
             raise ConfigError("nonzero coupling to a node off the grid")
         if not np.all(self.diagonal() > 0.0):
             raise ConfigError("nonpositive diagonal entry")
         return True
 
 
+@lru_cache(maxsize=None)
+def _blocks(n, size, block):
+    """(start, stop) of the matvec blocks of n nodes whose stencil repeats
+    every ``size`` nodes: ``block`` nodes at a time, restarted at each seam."""
+    return tuple((a, min(a + block, s + size, n)) for s in range(0, n, size)
+                 for a in range(s, min(s + size, n), block))
+
+
+def slab_planes(p, shape):
+    """Node planes along axis 0 to store of a stencil with period p there:
+    the smallest multiple of p whose slab covers _BLOCK nodes and gives
+    matvec no more blocks than the full layout, else the whole axis."""
+    m, plane = shape[0], math.prod(shape[1:])
+    return next((q for q in range(p, m, p) if q * plane >= _BLOCK and len(
+        _blocks(m * plane, q * plane, _BLOCK)) <= -(-m * plane // _BLOCK)), m)
+
+
 def matvec(system, x):
     """y = K x: a shifted multiply-add per coupled row, in offset order, over
-    a zero-padded x, one block of _BLOCK nodes at a time.
+    a zero-padded x, one block (at most _BLOCK nodes of one slab) at a time.
 
     A read that wraps past a grid face meets an exactly-zero stencil entry.
     """
@@ -161,9 +207,10 @@ def matvec(system, x):
     xp = np.zeros(n + 2 * pad)
     xp[pad:pad + n] = x
     y = np.zeros(n)
-    for a in range(0, n, _BLOCK):
-        yb, db, xb = y[a:a + _BLOCK], system.data[:, a:a + _BLOCK], xp[a:]
-        m = len(yb)
+    size = system.data.shape[1]
+    for a, b in _blocks(n, size, _BLOCK):
+        yb, db, xb = y[a:b], system.data[:, a % size:a % size + b - a], xp[a:]
+        m = b - a
         for k in system.couplings.rows:
             s = pad + shifts[k]
             yb += db[k] * xb[s:s + m]
@@ -225,12 +272,21 @@ def _galerkin(system):
     P is the tensor product of 1D interpolations, so P^T K P is the 1D
     Galerkin product applied along each coarsened axis in turn; the offsets
     along the other axes ride along unchanged (only the centre offset of an
-    axis that neither couples nor coarsens: the others hold zeros)."""
+    axis that neither couples nor coarsens: the others hold zeros).  A slab
+    with coarse period p_c (p, or p / 2 at even p) below the coarse axis 0
+    gives p_c coarse planes from fine planes 0..2 p_c read modulo p, others
+    are widened first; the coarse level is widened to the full layout."""
     d = len(system.shape)
     axes = coarse_axes(system.shape)
     centre = tuple(slice(None) if c or k in axes else slice(1, 2)
                    for k, c in enumerate(system.couplings.axes))
-    st = system.data.reshape((3,) * d + tuple(system.shape))[centre]
+    p, m = system.period, system.shape[0]
+    pc = p if p % 2 else p // 2
+    wrap = p < m and 0 in axes and pc < (m - 1) // 2
+    st = (system.data if wrap else system.expanded()).reshape(
+        (3,) * d + (-1,) + tuple(system.shape[1:]))[centre]
+    if wrap:
+        st = st.take(np.arange(2 * pc + 1) % p, axis=d)
     for ax in axes:
         fine = np.moveaxis(st, (ax, d + ax), (0, 1))
         mc = (fine.shape[1] - 1) // 2
@@ -240,13 +296,15 @@ def _galerkin(system):
             for a in (-1, 0, 1):
                 for A, w_col in _COLUMN_WEIGHTS[s + a]:
                     coarse[A + 1] += (w_row * w_col) * rows[a + 1]
-        coarse[0, 0] = 0.0    # coarse neighbours beyond the faces
-        coarse[2, -1] = 0.0
+        if not (wrap and ax == 0):
+            coarse[0, 0] = 0.0    # coarse neighbours beyond the faces
+            coarse[2, -1] = 0.0
         st = np.moveaxis(coarse, (0, 1), (ax, d + ax))
-    shape = st.shape[d:]
-    full = np.zeros((3,) * d + shape)
+    shape = ((m - 1) // 2,) + st.shape[d + 1:] if wrap else st.shape[d:]
+    full = np.zeros((3,) * d + st.shape[d:])
     full[centre] = st
-    return SparseSystem(shape, full.reshape(3 ** d, -1), system.symmetric)
+    level = SparseSystem(shape, full.reshape(3 ** d, -1), system.symmetric)
+    return SparseSystem(shape, level.expanded(), system.symmetric)
 
 
 def _vcycle(levels, k, b):

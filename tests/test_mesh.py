@@ -279,6 +279,18 @@ def test_cell_stencil_period(dim, R, n, period):
     assert rows.shape == (3**dim, (period or n - 2) ** dim)
 
 
+def test_near_period_is_assembled_whole():
+    # p h = 1 + 1e-10 at p = 64: tiling would be off by 2.1e-10 of the
+    # largest entry, above the solver tolerance, so the box is assembled whole
+    g = build_grid(2, 1.0 + 1e-10, 129)
+    f = make_field("scalar_trig", 2)
+    p, rows = mesh.cell_stencil(f, g)
+    assert p is None
+    direct = mesh._assemble_axes(lambda pts: fields.evaluate(f, pts),
+                                 [g.axis] * 2, g.h, fields.is_symmetric(f))
+    assert np.array_equal(assemble(f, g).data, direct.data)
+
+
 @pytest.mark.parametrize("dim,R,n", [(2, 3.0, 65), (3, 3.0, 33), (2, 1.5, 65)])
 @pytest.mark.parametrize("family",
                          ["identity", "scalar_trig", "diag_aniso", "nonsym_skew"])

@@ -8,7 +8,7 @@ import pytest
 import greenbox
 from greenbox import (ConfigError, ConvergenceError, SparseSystem, assemble,
                       build_grid, dense_solve, lift, load_delta, make_field,
-                      matvec, solve, sparse)
+                      matvec, mesh, solve, sparse)
 
 
 def from_dense(mat, symmetric=None):
@@ -341,6 +341,98 @@ def test_blocked_solve_is_bitwise_the_single_block_solve(monkeypatch, family):
     u7, info7 = solve(assemble(make_field(family, 3), g), rhs)
     assert u7.tobytes() == u.tobytes()
     assert info7 == info
+
+
+# (dim, R, n, family, block): a block of exactly p node planes makes
+# assemble store a p-plane slab
+SLABS = [(2, 1.0, 17, "scalar_trig", 8 * 15),
+         (2, 1.0, 17, "nonsym_skew", 8 * 15),
+         (3, 1.0, 9, "scalar_trig", 4 * 7 ** 2),
+         (3, 1.0, 9, "nonsym_skew", 4 * 7 ** 2),
+         # h = 1/3: odd period 3, so the Galerkin product wraps at p_c = p
+         (2, 3.0, 19, "scalar_trig", 3 * 17),
+         # p_c = 3 is not below the 2 coarse planes: widened before Galerkin
+         (2, 1.0, 7, "scalar_trig", 3 * 5)]
+
+
+def _layout_results(K, g):
+    x = np.random.default_rng(7).standard_normal(K.n_rows)
+    x[::4] = -0.0
+    u, info = solve(K, load_delta(g, g.center_index + 1))
+    return ([matvec(K, x).tobytes(), K.diagonal().tobytes(),
+             K.to_dense().tobytes(), u.tobytes(), info]
+            + [(lv.shape, lv.period, lv.expanded().tobytes())
+               for lv in K.hierarchy])
+
+
+@pytest.mark.parametrize("dim,R,n,family,block", SLABS)
+def test_slab_is_bitwise_the_full_layout(monkeypatch, dim, R, n, family,
+                                         block):
+    g = build_grid(dim, R, n)
+    f = make_field(family, dim)
+    full = assemble(f, g)
+    assert full.period == full.shape[0]
+    expected = _layout_results(full, g)
+    monkeypatch.setattr(sparse, "_BLOCK", block)
+    slab = assemble(f, g)
+    assert slab.period < slab.shape[0]
+    assert slab.data.shape == (3 ** dim, block)
+    assert slab.validate()
+    assert slab.expanded().tobytes() == full.data.tobytes()
+    # every coarse level keeps the full layout: its period is compared too
+    assert _layout_results(slab, g) == expected
+
+
+def test_lift_column_on_a_slab_base_is_bitwise(monkeypatch):
+    g = build_grid(2, 1.0, 17)
+    f = make_field("scalar_trig", 2)
+    slab_grid = lift.build_slab(g, 1.0)
+    ref, ref_info = lift.lifted_column(f, slab_grid, g.center_index + 1,
+                                       system=assemble(f, g))
+    monkeypatch.setattr(sparse, "_BLOCK", 8 * 15)
+    K_x = assemble(f, g)
+    assert K_x.period == 8
+    col, info = lift.lifted_column(f, slab_grid, g.center_index + 1,
+                                   system=K_x)
+    assert col.tobytes() == ref.tobytes()
+    assert info == ref_info
+
+
+def test_production_column_stores_a_16_plane_slab():
+    K = assemble(make_field("scalar_trig", 3), build_grid(3, 2.0, 65))
+    assert K.period == 16
+    assert K.data.shape == (27, 63504)  # 16 planes of 63 x 63 nodes
+
+
+@pytest.mark.parametrize("p,shape,planes", [
+    (16, (63, 63, 63), 16), (8, (63, 63, 63), 16),
+    # 2D n = 129 would split into 8 blocks of 2,032 nodes at 16 planes
+    (16, (127, 127), 127),
+    # a slab of 160, 192 or 224 planes gives 3 blocks, the whole axis 2
+    (32, (255, 255), 255)])
+def test_slab_planes_never_add_matvec_blocks(p, shape, planes):
+    assert sparse.slab_planes(p, shape) == planes
+    n = int(np.prod(shape))
+    size = planes * n // shape[0]
+    blocks = sparse._blocks(n, size, sparse._BLOCK)
+    assert len(blocks) == -(-n // sparse._BLOCK)
+
+
+def test_non_contiguous_stencil_data_rejected(monkeypatch):
+    g = build_grid(3, 1.0, 9)
+    f = make_field("scalar_trig", 3)
+    p, rows = mesh.cell_stencil(f, g)
+    tile = np.arange(7) % p
+    strided = rows.reshape((27,) + (p,) * 3)[
+        (slice(None),) + np.ix_(tile, tile, tile)].reshape(27, -1)
+    assert not strided.flags["C_CONTIGUOUS"]
+    with pytest.raises(ConfigError, match="C-contiguous"):
+        SparseSystem((7, 7, 7), strided, True)
+    # the producers of stencil data pass: assembly, Galerkin levels (the slab
+    # wrap and widening among them) and the lift block system
+    monkeypatch.setattr(sparse, "_BLOCK", 4 * 7 ** 2)
+    assert assemble(f, g).hierarchy
+    assert _lift_blocks(9).hierarchy
 
 
 def test_nnz_counts_the_on_grid_couplings_of_the_coupled_rows():
