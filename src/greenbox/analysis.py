@@ -61,7 +61,7 @@ def make_annuli(grid, center, window, count=9, eta=DEFAULT_ETA):
     center = tuple(float(c) for c in center)
     radii = np.geomspace(r_min, r_max, count)
     spec = AnnulusSpec(center=center, rel_thickness=eta, radii=tuple(radii))
-    dist = np.linalg.norm(grid.node_coords - np.asarray(center), axis=1)
+    dist = grid.distances(center)
     for r in radii:
         n_in = int(((dist >= r * (1 - eta)) & (dist <= r * (1 + eta))).sum())
         if n_in < MIN_SHELL_NODES:
@@ -73,7 +73,7 @@ def make_annuli(grid, center, window, count=9, eta=DEFAULT_ETA):
 def annulus_average(values, grid, spec):
     """f(r): mean of |values| over the nodes of each shell."""
     values = np.asarray(values)
-    dist = np.linalg.norm(grid.node_coords - np.asarray(spec.center), axis=1)
+    dist = grid.distances(spec.center)
     eta = spec.rel_thickness
     out = np.empty(len(spec.radii))
     for k, r in enumerate(spec.radii):
@@ -251,15 +251,14 @@ def interior_ratio(col, gmag, x, r):
     inside the box and leave out the source.
     """
     grid = col.grid
-    coords = grid.node_coords
-    xc = coords[x]
+    xc = grid.coords(x)
     if r < 8.0 * grid.h * (1 - 1e-12):
         raise ConfigError(f"ball radius {r:g} below 8h")
     if np.any(np.abs(xc) + r > grid.half_width * (1 + 1e-12)):
         raise ConfigError("test ball leaves the domain")
     if r * (1 + 1e-9) >= np.linalg.norm(xc - col.source_coords):
         raise ConfigError("test ball holds the source")
-    dist = np.linalg.norm(coords - xc, axis=1)
+    dist = grid.distances(xc)
     sup_g = float(np.abs(col.values[dist <= r * (1 + 1e-9)]).max())
     sup_dg = float(gmag[dist <= 0.5 * r * (1 + 1e-9)].max())
     return r * sup_dg / sup_g

@@ -81,7 +81,9 @@ def _column_from_config(cfg):
     kwargs = {"rel_tol": float(cfg.get("rel_tol", 1e-10))}
     if cfg.get("max_iter"):
         kwargs["max_iter"] = int(cfg["max_iter"])
-    return green.green_column(field, grid, y, **kwargs)
+    # assembled here, so that an oversized grid stops before the solver
+    return green.green_column(field, grid, y,
+                              system=mesh.assemble(field, grid), **kwargs)
 
 
 def write_atomic(path, text):

@@ -59,7 +59,7 @@ def build_slab(base, t_half_width):
     slab = SlabGrid(base=base, t_half_width=float(t_half_width))
     if slab.n_layers < 5:
         raise ConfigError("slab needs at least 5 layers")
-    mesh.check_stencil_fits(((slab.n_layers - 1) // 2,) + (base.n - 2,) * 2)
+    mesh.check_stencil_fits(3, (slab.n_layers - 1) // 2 * (base.n - 2) ** 2)
     return slab
 
 

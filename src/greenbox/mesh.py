@@ -109,7 +109,7 @@ class BoxGrid:
         return np.unravel_index(index, self.shape)
 
     def coords(self, index):
-        return self.node_coords[index]
+        return self.axis[np.stack(self.multi(index), axis=-1)]
 
     def node_at(self, point, tol=1e-9):
         """Full index of the node at physical coordinates ``point``."""
@@ -120,9 +120,21 @@ class BoxGrid:
             raise ConfigError(f"point {point} is not a grid node")
         return self.index(multi)
 
+    def distances(self, center):
+        """Euclidean distance of every node (C order) from the point
+        ``center``: the per-axis squares of ``axis - c_k``, summed in axis
+        order by broadcasting, so no (n_nodes, d) array is built.  Bitwise
+        ``np.linalg.norm(node_coords - center, axis=1)``."""
+        squares = None
+        for k, c in enumerate(center):
+            term = (self.axis - c) ** 2
+            term = term.reshape((-1,) + (1,) * (self.dim - 1 - k))
+            squares = term if squares is None else squares + term
+        return np.sqrt(squares, out=squares).ravel()
+
     def distances_from(self, index):
         """Euclidean distance of every node from the node ``index``."""
-        return np.linalg.norm(self.node_coords - self.node_coords[index], axis=1)
+        return self.distances(self.coords(index))
 
 
 def build_grid(d, R, n):
@@ -133,7 +145,6 @@ def build_grid(d, R, n):
         raise ConfigError("half-width R must be positive")
     if n < 5 or n % 2 == 0:
         raise ConfigError(f"nodes per axis must be odd and >= 5, got {n}")
-    check_stencil_fits((n - 2,) * d)
     return BoxGrid(d, float(R), int(n))
 
 
@@ -146,13 +157,20 @@ def even_steps(half_width, h):
     return int(round(steps))
 
 
-def check_stencil_fits(ishape):
-    """Reject an interior shape whose 3^d stencil alone exceeds physical memory."""
-    need = 8 * 3 ** len(ishape) * math.prod(ishape)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+def physical_memory():
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_stencil_fits(d, nodes):
+    """Reject a 3^d stencil of ``nodes`` stored nodes whose float64 data and
+    float32 copy (12 bytes per entry) exceed physical memory."""
+    need = 12 * 3**d * nodes
+    have = physical_memory()
     if need > have:
-        raise ConfigError(f"the stencil alone needs {need / 2**30:.1f} GiB, "
-                          f"more than the {have / 2**30:.1f} GiB of memory")
+        raise ConfigError(f"the stencil and its float32 copy need "
+                          f"{need / 2**30:.1f} GiB, more than the "
+                          f"{have / 2**30:.1f} GiB of memory")
 
 
 def _corner_offsets(d):
@@ -232,26 +250,34 @@ def _assemble_axes(matrix_fn, axes, h, symmetric):
     return SparseSystem(ishape, data.reshape(3**d, -1), symmetric)
 
 
+def cell_period(grid):
+    """The smallest p <= n - 4 with p h an integer to 1e-12 (tiling treats
+    p h as exact), or None."""
+    cycles = grid.h * np.arange(1, grid.n - 3)
+    hits = np.flatnonzero((np.abs(cycles - np.rint(cycles)) <= 1e-12)
+                          & (np.rint(cycles) >= 1))
+    return int(hits[0]) + 1 if hits.size else None
+
+
 def cell_stencil(field, grid):
     """Period in nodes and stiffness rows of one period cell of the grid.
 
-    p is the smallest node count with p h an integer to 1e-12: tiling treats
-    p h as exact.  The cell is ``grid.axis[:p + 4]`` along every axis:
-    its interior rows 1..p see only cell nodes, so they are complete periodic
-    rows.  Rolled by one node, they come back as ``rows`` of shape
-    (3^d, p^d), laid out as ``SparseSystem.data`` on a (p,) * d grid, and
-    box interior node j takes row j mod p on every axis.  When no
-    p <= n - 4 exists, p is None and ``rows`` is the stencil of the whole
-    box, of shape (3^d, (n - 2)^d).
+    p is ``cell_period(grid)``; a ``scalar_trig`` field with a non-integer
+    frequency is not Z^d-periodic and is rejected.  The cell is
+    ``grid.axis[:p + 4]`` along every axis: its interior rows 1..p see only
+    cell nodes, so they are complete periodic rows.  Rolled by one node,
+    they come back as ``rows`` of shape (3^d, p^d), laid out as
+    ``SparseSystem.data`` on a (p,) * d grid, and box interior node j takes
+    row j mod p on every axis.  When no p <= n - 4 exists, p is None and
+    ``rows`` is the stencil of the whole box, of shape (3^d, (n - 2)^d).
     """
     if field.dim != grid.dim:
         raise ConfigError(
             f"field dimension {field.dim} does not match grid dimension {grid.dim}")
-    d, n = grid.dim, grid.n
-    cycles = grid.h * np.arange(1, n - 3)
-    hits = np.flatnonzero((np.abs(cycles - np.rint(cycles)) <= 1e-12)
-                          & (np.rint(cycles) >= 1))
-    p = int(hits[0]) + 1 if hits.size else None
+    if field.family == "scalar_trig" and not field.params[2].is_integer():
+        raise ConfigError(f"scalar_trig freq must be an integer for a "
+                          f"Z^d-periodic A, got {field.params[2]}")
+    d, p = grid.dim, cell_period(grid)
     axis = grid.axis if p is None else grid.axis[:p + 4]
     system = _assemble_axes(lambda pts: fields.evaluate(field, pts),
                             [axis] * d, grid.h, fields.is_symmetric(field))
@@ -269,13 +295,16 @@ def assemble(field, grid):
     (``cell_stencil``) are tiled over ``sparse.slab_planes`` node planes
     along axis 0, and the couplings to nodes off the grid are set to exactly
     zero, except the axis-0 face couplings of a slab (see ``SparseSystem``).
+    The stored planes and their float32 copy must fit in memory
+    (``check_stencil_fits``) before anything is assembled.
     """
+    d, m, p = grid.dim, grid.n - 2, cell_period(grid)
+    q = m if p is None else sparse.slab_planes(p, (m,) * d)
+    check_stencil_fits(d, q * m ** (d - 1))
     p, rows = cell_stencil(field, grid)
-    d, m = grid.dim, grid.n - 2
     symmetric = fields.is_symmetric(field)
     if p is None:
         return SparseSystem((m,) * d, rows, symmetric)
-    q = sparse.slab_planes(p, (m,) * d)
     # one gather into C order: interior node j reads cell row j mod p
     tile = [np.arange(q) % p] + [np.arange(m) % p] * (d - 1)
     cell_of = np.ravel_multi_index(np.ix_(*tile), (p,) * d).ravel()

@@ -7,6 +7,17 @@ V-cycle: vertex-centred 2:1 coarsening, linear prolongation P, Galerkin
 coarse stencils P^T K P (faithful to an oscillating coefficient; Alcouffe,
 Brandt, Dendy & Painter, SIAM J. Sci. Stat. Comput. 2, 1981) and damped
 Jacobi smoothing.  The hierarchy is built once per system and cached on it.
+The V-cycle runs in float32 inside float64 Krylov (mixed-precision
+multigrid; Goddeke, Strzodka & Turek, IJPEDS 22, 2007): the coarse levels
+and the ``single`` copy of the fine stencil are float32, while CG, BiCGStab,
+their matvecs with the float64 stencil and the true-residual re-check stay
+float64, so the 1e-10 residual contract is unchanged.  A preconditioner
+only needs to reduce the error, and a float32 smoothing matvec moves half
+the bytes of a float64 one.  The V-cycle scales its float64 input by 2^-e,
+e the exponent of max|b|, before rounding it to float32 and undoes that on
+return; both scalings are exact, and a tiny residual (1e-46 at rel_tol =
+1e-300) does not flush to zero in float32.  matvec, prolong, restrict and
+the smoother weights follow the dtype of the data they are given.
 Matvecs and Galerkin products skip stencil rows that are zero everywhere.
 A matvec walks the nodes in blocks of _BLOCK, each block running the coupled
 rows in offset order, so a block's slices stay in a core's L2 cache while
@@ -100,21 +111,34 @@ class SparseSystem:
 
     @cached_property
     def hierarchy(self):
-        """Galerkin coarse levels P^T K P, coarsest last.
+        """Galerkin coarse levels P^T K P in float32, coarsest last.
 
-        Empty when no axis coarsens: the preconditioner is then damped
-        Jacobi smoothing alone.
+        Each level is built in float64 from the float64 level above and
+        rounded once; only the rounded levels stay.  Empty when no axis
+        coarsens: the preconditioner is then damped Jacobi smoothing alone.
         """
         levels = []
         level = self
         while coarse_axes(level.shape):
             level = _galerkin(level)
-            levels.append(level)
+            levels.append(level.single)
         return tuple(levels)
 
     @cached_property
+    def single(self):
+        """float32 copy of the stencil: the V-cycle's fine level, and the
+        stored form of a coarse level.  Only the coupled rows are written,
+        so zero rows never become resident."""
+        data = np.zeros(self.data.shape, dtype=np.float32)
+        for k in self.couplings.rows:
+            data[k] = self.data[k]
+        copy = SparseSystem(self.shape, data, self.symmetric)
+        copy.couplings = self.couplings    # no scan of the unwritten rows
+        return copy
+
+    @cached_property
     def smoother(self):
-        """Damped Jacobi weights OMEGA / diag(K)."""
+        """Damped Jacobi weights OMEGA / diag(K), in the stencil's dtype."""
         return OMEGA / self.diagonal()
 
     @cached_property
@@ -188,8 +212,12 @@ def slab_planes(p, shape):
     the smallest multiple of p whose slab covers _BLOCK nodes and gives
     matvec no more blocks than the full layout, else the whole axis."""
     m, plane = shape[0], math.prod(shape[1:])
-    return next((q for q in range(p, m, p) if q * plane >= _BLOCK and len(
-        _blocks(m * plane, q * plane, _BLOCK)) <= -(-m * plane // _BLOCK)), m)
+
+    def blocks(q):    # len(_blocks(m * plane, q * plane, _BLOCK)), not built
+        slabs, rest = divmod(m, q)
+        return slabs * -(-q * plane // _BLOCK) + -(-rest * plane // _BLOCK)
+    return next((q for q in range(p, m, p) if q * plane >= _BLOCK
+                 and blocks(q) <= blocks(m)), m)
 
 
 def matvec(system, x):
@@ -204,9 +232,10 @@ def matvec(system, x):
         raise ConfigError(f"matvec length mismatch: {x.shape} vs {n}")
     shifts = system.shifts.tolist()
     pad = shifts[-1]
-    xp = np.zeros(n + 2 * pad)
+    dtype = np.result_type(system.data, x)
+    xp = np.zeros(n + 2 * pad, dtype)
     xp[pad:pad + n] = x
-    y = np.zeros(n)
+    y = np.zeros(n, dtype)
     size = system.data.shape[1]
     for a, b in _blocks(n, size, _BLOCK):
         yb, db, xb = y[a:b], system.data[:, a % size:a % size + b - a], xp[a:]
@@ -238,7 +267,7 @@ def prolong(xc, fine_shape):
     for ax in axes:
         shape = list(x.shape)
         shape[ax] = fine_shape[ax]
-        fine = np.zeros(shape)
+        fine = np.zeros(shape, x.dtype)
         fine[_along(ax, slice(1, None, 2))] = x
         half = 0.5 * x
         fine[_along(ax, slice(0, -1, 2))] += half
@@ -307,8 +336,22 @@ def _galerkin(system):
     return SparseSystem(shape, level.expanded(), system.symmetric)
 
 
-def _vcycle(levels, k, b):
-    """One V(SWEEPS, SWEEPS) cycle for K_k x = b from x = 0.
+def _vcycle(levels, b):
+    """One float32 V(SWEEPS, SWEEPS) cycle for K x = b from x = 0, with
+    K = levels[0] (float64) and levels[1:] its hierarchy; float64 b and x.
+
+    b is scaled by 2^-e, e the exponent of max|b|, before the float32 cast,
+    and x by 2^e after it: both are exact, so the cycle of b 2^-k is
+    bitwise 2^-k times the cycle of b, and b = 0 gives x = 0.
+    """
+    e = int(np.frexp(max(b.max(), -b.min()))[1])
+    x = _cycle((levels[0].single,) + levels[1:], 0,
+               np.ldexp(b, -e).astype(np.float32))
+    return np.ldexp(x.astype(np.float64), e)
+
+
+def _cycle(levels, k, b):
+    """The V-cycle below level k, in the dtype of the levels and of b.
 
     A one-node level is solved exactly; a level that cannot coarsen further
     is only smoothed.
@@ -322,7 +365,7 @@ def _vcycle(levels, k, b):
         x += w * (b - matvec(system, x))
     if k + 1 < len(levels):
         r = b - matvec(system, x)
-        x += prolong(_vcycle(levels, k + 1, restrict(r, system.shape)),
+        x += prolong(_cycle(levels, k + 1, restrict(r, system.shape)),
                      system.shape)
     for _ in range(SWEEPS):
         x += w * (b - matvec(system, x))
@@ -353,7 +396,7 @@ def _cg(levels, r, tol_abs, history, max_iter):
     system = levels[0]
     e = np.zeros_like(r)
     r = r.copy()
-    p = z = _vcycle(levels, 0, r)
+    p = z = _vcycle(levels, r)
     rz = _dot(r, z)
     while len(history) < max_iter:
         ap = matvec(system, p)
@@ -363,7 +406,7 @@ def _cg(levels, r, tol_abs, history, max_iter):
         history.append(_norm(r))
         if history[-1] <= tol_abs:
             break
-        z = _vcycle(levels, 0, r)
+        z = _vcycle(levels, r)
         rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -389,13 +432,13 @@ def _bicgstab(levels, r, tol_abs, history, max_iter):
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
         p = r + beta * (p - omega * v)
-        ph = _vcycle(levels, 0, p)
+        ph = _vcycle(levels, p)
         v = matvec(system, ph)
         alpha = rho / _dot(r0, v)
         s = r - alpha * v
         tt = 0.0
         if _norm(s) > tol_abs:
-            sh = _vcycle(levels, 0, s)
+            sh = _vcycle(levels, s)
             t = matvec(system, sh)
             tt = _dot(t, t)
         if tt == 0.0:    # s met the tolerance, or t = 0

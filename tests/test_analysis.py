@@ -218,3 +218,18 @@ def test_ratio_preconditions():
 def test_lebesgue_norm():
     vals = np.array([1.0, -2.0, 2.0])
     assert lebesgue_norm(vals, 0.5, 2.0) == pytest.approx(np.sqrt(4.5))
+
+
+def test_column3d_pass_never_builds_node_coords():
+    # the measurements of a 3D column broadcast per-axis distances: no
+    # (n_nodes, 3) coordinate array is cached on the grid
+    g = build_grid(3, 1.0, 41)
+    col = green_column(make_field("scalar_trig", 3), g, g.center_index + 1)
+    window = fit_window(g)
+    spec = make_annuli(g, col.source_coords, window)
+    fit_power_decay(spec.radii, annulus_average(col.values, g, spec), window)
+    gmag = np.linalg.norm(gradient_field(col.values, g), axis=1)
+    annulus_average(gmag, g, spec)
+    col.radii()
+    interior_ratio(col, gmag, g.node_at((0.55, 0.0, 0.0)), 8 * g.h)
+    assert "node_coords" not in g.__dict__

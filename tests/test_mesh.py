@@ -53,6 +53,23 @@ def test_index_coordinate_roundtrip():
         assert g.node_at(g.coords(idx)) == idx
 
 
+@pytest.mark.parametrize("d,R,n", [(2, 1.0, 17), (2, 4.0, 129),
+                                   (3, 2.0, 33), (3, 1.0, 9)])
+def test_distances_are_bitwise_the_norm_of_node_coords(d, R, n):
+    g = build_grid(d, R, n)
+    h = g.h
+    # box centre, next to a face, off-centre between nodes
+    for c in (np.zeros(d), np.full(d, R - h), 0.3 * h + np.arange(d) * 0.17):
+        ref = np.linalg.norm(g.node_coords - c, axis=1)
+        assert g.distances(c).tobytes() == ref.tobytes()
+    idx = g.center_index + 3
+    assert np.array_equal(g.coords(idx), g.node_coords[idx])
+    assert g.distances_from(idx).tobytes() == np.linalg.norm(
+        g.node_coords - g.node_coords[idx], axis=1).tobytes()
+    ids = np.arange(0, g.n_nodes, 7)
+    assert np.array_equal(g.coords(ids), g.node_coords[ids])
+
+
 def test_interior_boundary_classification():
     g = build_grid(3, 1.0, 5)
     assert g.boundary_mask.sum() == g.n_nodes - g.n_interior
@@ -188,12 +205,38 @@ def test_gradient_bilinear_monomial():
     assert np.abs(grad[:, 0] - x[:, 1]).max() <= g.h
 
 
-def test_oversized_grid_and_slab_rejected_before_allocation():
-    # 1999^3 unknowns need 27 * 8 bytes each, about 1.6 TiB of stencil
+def _no_assembly(*args, **kwargs):
+    pytest.fail("the oversized stencil reached assembly")
+
+
+def test_oversized_grid_and_slab_rejected_before_allocation(monkeypatch):
+    # 1999^3 unknowns: even a slab of 1000 of the 1999 planes needs 27 * 12
+    # bytes per stored node, about 0.9 TiB for the stencil and its copy
+    monkeypatch.setattr(mesh, "_assemble_axes", _no_assembly)
     with pytest.raises(ConfigError, match="stencil"):
-        build_grid(3, 1.0, 2001)
+        assemble(make_field("identity", 3), build_grid(3, 1.0, 2001))
     with pytest.raises(ConfigError, match="stencil"):
         build_slab(build_grid(2, 1.0, 2001), 1.0)
+
+
+def test_memory_guard_charges_the_stored_slab_and_its_copy(monkeypatch):
+    g, f = build_grid(3, 2.0, 65), make_field("scalar_trig", 3)
+    stored = 27 * 16 * 63 ** 2    # 16 of the 63 node planes
+    assert 8 * 27 * 63 ** 3 > 12 * stored    # the full stencil would not fit
+    monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * stored)
+    K = assemble(f, g)
+    assert K.data.nbytes + K.single.data.nbytes == 12 * stored
+    monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * stored - 1)
+    monkeypatch.setattr(mesh, "_assemble_axes", _no_assembly)
+    with pytest.raises(ConfigError, match="stencil and its float32 copy"):
+        assemble(f, g)
+    # the lift block system: 4 modes of 7 x 7 nodes, all 27 rows charged
+    blocks = 27 * 4 * 7 ** 2
+    monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * blocks)
+    build_slab(build_grid(2, 1.0, 9), 1.0)
+    monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * blocks - 1)
+    with pytest.raises(ConfigError, match="stencil"):
+        build_slab(build_grid(2, 1.0, 9), 1.0)
 
 
 def _lifted(field):
@@ -277,6 +320,14 @@ def test_cell_stencil_period(dim, R, n, period):
                                 build_grid(dim, R, n))
     assert p == period
     assert rows.shape == (3**dim, (period or n - 2) ** dim)
+
+
+def test_assemble_rejects_a_scalar_trig_field_of_period_two():
+    # freq 0.5 has period 2, but tiling would repeat period-1 rows
+    f = fields.PeriodicField(2, "scalar_trig", (2.0, 1.0, 0.5), alpha=1.0,
+                             bound=3.0)
+    with pytest.raises(ConfigError, match="freq"):
+        assemble(f, build_grid(2, 1.0, 17))
 
 
 def test_near_period_is_assembled_whole():

@@ -236,8 +236,15 @@ def test_galerkin_levels_match_dense_triple_product():
     assert [b.couplings.axes for b in blocks] == [(False, True, True)] * 2
     assert [sparse.coarse_axes(b.shape) for b in blocks] == [(1, 2),
                                                               (0, 1, 2)]
+    # the float64 _galerkin chain holds the products to 1e-12; the stored
+    # hierarchy is that chain rounded once to float32, level by level
     for fine in systems + blocks:
-        for coarse in fine.hierarchy:
+        for stored in fine.hierarchy:
+            coarse = sparse._galerkin(fine)
+            assert stored.data.dtype == np.float32
+            assert stored.shape == coarse.shape
+            assert stored.data.tobytes() == \
+                coarse.data.astype(np.float32).tobytes()
             P = _interpolation(fine.shape[0])
             for m in fine.shape[1:]:
                 P = np.kron(P, _interpolation(m))
@@ -248,8 +255,8 @@ def test_galerkin_levels_match_dense_triple_product():
             x = np.cos(np.arange(fine.n_rows) + 1.0)
             np.testing.assert_allclose(sparse.restrict(x, fine.shape),
                                        P.T @ x, rtol=1e-14, atol=1e-14)
-            assert coarse.validate()
-            assert coarse.symmetric == fine.symmetric
+            assert coarse.validate() and stored.validate()
+            assert coarse.symmetric == stored.symmetric == fine.symmetric
             np.testing.assert_allclose(coarse.to_dense(), expected,
                                        rtol=1e-12,
                                        atol=1e-14 * abs(expected).max())
@@ -466,6 +473,93 @@ def test_multigrid_iterations_per_column(dim, n):
     K = assemble(make_field("scalar_trig", dim), g)
     _, info = solve(K, load_delta(g, g.center_index))
     assert info.iterations <= 15
+
+
+# (dim, R, n, family): iterations of the float64 CG/BiCGStab with the float32
+# V-cycle, equal to those of the float64 V-cycle it replaced
+ACCEPTANCE_SOLVES = [((3, 2.0, 65, "scalar_trig"), 9),
+                     ((3, 1.0, 33, "nonsym_skew"), 5),
+                     ((2, 4.0, 129, "scalar_trig"), 8)]
+
+
+@pytest.mark.parametrize("size,iterations", ACCEPTANCE_SOLVES)
+def test_iterations_at_acceptance_sizes(size, iterations):
+    dim, R, n, family = size
+    g = build_grid(dim, R, n)
+    _, info = solve(assemble(make_field(family, dim), g),
+                    load_delta(g, g.center_index))
+    assert info.iterations == iterations
+
+
+def test_lift_iterations_at_base_33():
+    g = build_grid(2, 1.0, 33)
+    slab = lift.build_slab(g, 4.0)
+    counts = [lift.lifted_column(make_field(family, 2), slab,
+                                 g.center_index)[1].iterations
+              for family in ("identity", "scalar_trig")]
+    assert counts == [9, 8]
+
+
+@pytest.mark.parametrize("family", ["scalar_trig", "nonsym_skew"])
+def test_vcycle_is_float32_and_krylov_float64(monkeypatch, family):
+    # the dtypes follow the data under numpy 1.24's value-based casting and
+    # numpy 2's NEP 50 alike: no float64 scalar may widen the V-cycle
+    g = build_grid(3, 1.0, 9)
+    K = assemble(make_field(family, 3), g)
+    seen, transfers = [], []
+    matvec, prolong, restrict = sparse.matvec, sparse.prolong, sparse.restrict
+
+    def recording(system, x):
+        y = matvec(system, x)
+        seen.append((system is K, (system.data.dtype, x.dtype, y.dtype)))
+        return y
+
+    def transfer(fn):
+        def recorded(x, fine_shape):
+            y = fn(x, fine_shape)
+            transfers.append((x.dtype, y.dtype))
+            return y
+        return recorded
+    monkeypatch.setattr(sparse, "matvec", recording)
+    monkeypatch.setattr(sparse, "prolong", transfer(prolong))
+    monkeypatch.setattr(sparse, "restrict", transfer(restrict))
+    u, info = solve(K, load_delta(g, g.center_index + 1))
+    assert set(transfers) == {(np.dtype(np.float32),) * 2}
+    assert u.dtype == np.float64
+    krylov = [dtypes for fine, dtypes in seen if fine]
+    cycle = [dtypes for fine, dtypes in seen if not fine]
+    assert set(krylov) == {(np.dtype(np.float64),) * 3}
+    assert set(cycle) == {(np.dtype(np.float32),) * 3}
+    # CG: one matvec per iteration and the true-residual re-check;
+    # BiCGStab: at most two per iteration and the re-check
+    if K.symmetric:
+        assert len(krylov) == info.iterations + 1
+    else:
+        assert info.iterations + 1 <= len(krylov) <= 2 * info.iterations + 1
+    levels = (K.single,) + K.hierarchy
+    assert [lv.smoother.dtype for lv in levels] == [np.float32] * len(levels)
+    assert "smoother" not in K.__dict__    # no float64 V-cycle ran
+
+
+def test_vcycle_scaling_is_exact():
+    g = build_grid(3, 1.0, 9)
+    K = assemble(make_field("scalar_trig", 3), g)
+    levels = (K,) + K.hierarchy
+    b = np.sin(np.arange(K.n_rows) + 1.0)
+    tiny = b * 2.0 ** -160
+    assert not tiny.astype(np.float32).any()    # a plain cast flushes to 0
+    assert sparse._vcycle(levels, tiny).tobytes() == \
+        (sparse._vcycle(levels, b) * 2.0 ** -160).tobytes()
+    assert not sparse._vcycle(levels, np.zeros(K.n_rows)).any()
+
+
+def test_single_copy_writes_only_the_coupled_rows():
+    blocks = _lift_blocks(9)
+    single = blocks.single
+    assert single.data.dtype == np.float32 and single.shape == blocks.shape
+    assert single.couplings == blocks.couplings
+    assert single.data.tobytes() == blocks.data.astype(np.float32).tobytes()
+    assert blocks.single is single    # cached with the system
 
 
 def test_hierarchy_built_once_per_system():
