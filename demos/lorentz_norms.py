@@ -33,7 +33,7 @@ print(f"\n200 random fields: corrected sandwich always holds; "
       f"inverted prefactor fails on {bad} of them")
 
 grid = gb.build_grid(2, 1.0, 257)
-radius = np.linalg.norm(grid.node_coords, axis=1)
+radius = grid.distances((0.0, 0.0))
 mask = (radius <= 1.0) & (radius >= 4 * grid.h)
 norm = analysis.weak_lorentz_norm(1.0 / radius[mask], grid.h**2, p=2.0)
 print(f"\n|| |x|^-1 ||_(2,inf) on the unit disk: {norm:.4f}   "

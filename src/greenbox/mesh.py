@@ -75,28 +75,6 @@ class BoxGrid:
         grids = np.meshgrid(*([self.axis] * self.dim), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
-    @cached_property
-    def boundary_mask(self):
-        mask = np.zeros(self.shape, dtype=bool)
-        for k in range(self.dim):
-            sl = [slice(None)] * self.dim
-            sl[k] = 0
-            mask[tuple(sl)] = True
-            sl[k] = self.n - 1
-            mask[tuple(sl)] = True
-        return mask.ravel()
-
-    @cached_property
-    def interior_ids(self):
-        return np.flatnonzero(~self.boundary_mask)
-
-    @cached_property
-    def interior_index(self):
-        """Full node index -> interior index, or -1 on the boundary."""
-        out = np.full(self.n_nodes, -1, dtype=np.int64)
-        out[self.interior_ids] = np.arange(self.interior_ids.size)
-        return out
-
     @property
     def center_index(self):
         c = (self.n - 1) // 2
@@ -327,20 +305,20 @@ def load_delta(grid, y):
     discrete right-hand side is exactly a unit coordinate vector over the
     interior unknowns.
     """
-    iy = grid.interior_index[y]
-    if iy < 0:
+    multi = np.array(grid.multi(y))
+    if np.any((multi == 0) | (multi == grid.n - 1)):
         raise SourcePlacementError(
             f"source node {y} lies on the Dirichlet boundary")
-    rhs = np.zeros(grid.n_interior)
-    rhs[iy] = 1.0
-    return rhs
+    rhs = np.zeros((grid.n - 2,) * grid.dim)
+    rhs[tuple(multi - 1)] = 1.0
+    return rhs.ravel()
 
 
 def expand_interior(grid, interior_values):
     """Embed an interior-node vector into a full-node vector (boundary zeros)."""
-    full = np.zeros(grid.n_nodes)
-    full[grid.interior_ids] = interior_values
-    return full
+    shape = (grid.n - 2,) * grid.dim
+    return np.pad(np.asarray(interior_values, dtype=float).reshape(shape),
+                  1).ravel()
 
 
 def gradient_field(values, grid):
@@ -366,12 +344,12 @@ def gradient_field(values, grid):
             diff = 0.5 * (diff[tuple(lo)] + diff[tuple(hi)])
         cell_grad.append(diff)  # shape: one less node per axis
     out = np.zeros(shape + (d,))
-    count = np.zeros(shape)
-    cells = np.ones(tuple(s - 1 for s in shape))
     for corner in _corner_offsets(d):
         sl = tuple(slice(c, c + s - 1) for c, s in zip(corner, shape))
-        count[sl] += cells
         for k in range(d):
             out[sl + (k,)] += cell_grad[k]
-    out /= count[..., None]
+    # cells meeting at a node: the product over axes of 1 at a face, else 2
+    per_axis = np.full(grid.n, 2.0)
+    per_axis[[0, -1]] = 1.0
+    out /= math.prod(np.ix_(*[per_axis] * d))[..., None]
     return out.reshape(-1, d)

@@ -361,7 +361,7 @@ def checks_lorentz(seed=0):
     # there are delta-scale artifacts, exactly like the radial fit window)
     grid = mesh.build_grid(2, 1.0, 257)
     h = grid.h
-    r = np.linalg.norm(grid.node_coords, axis=1)
+    r = grid.distances((0.0, 0.0))
     mask = (r <= 1.0) & (r >= 4 * h)
     vals = 1.0 / r[mask]
     norm = analysis.weak_lorentz_norm(vals, h * h, p=2.0)

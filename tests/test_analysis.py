@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -221,8 +223,9 @@ def test_lebesgue_norm():
 
 
 def test_column3d_pass_never_builds_node_coords():
-    # the measurements of a 3D column broadcast per-axis distances: no
-    # (n_nodes, 3) coordinate array is cached on the grid
+    # the measurements of a 3D column broadcast per-axis distances and the
+    # source and padding work on the interior block: no per-node array is
+    # cached on the grid
     g = build_grid(3, 1.0, 41)
     col = green_column(make_field("scalar_trig", 3), g, g.center_index + 1)
     window = fit_window(g)
@@ -233,3 +236,6 @@ def test_column3d_pass_never_builds_node_coords():
     col.radii()
     interior_ratio(col, gmag, g.node_at((0.55, 0.0, 0.0)), 8 * g.h)
     assert "node_coords" not in g.__dict__
+    # nor any other per-node table: besides the dataclass fields, only the
+    # per-axis coordinates are cached
+    assert set(g.__dict__) - {f.name for f in fields(g)} <= {"axis"}

@@ -42,7 +42,9 @@ def test_positivity_and_source_dominance(dim, n, family):
 def test_boundary_zeros():
     g = build_grid(2, 1.0, 17)
     col = green_column(make_field("scalar_trig", 2), g, g.center_index)
-    assert np.all(col.values[g.boundary_mask] == 0.0)
+    v = col.values.reshape(g.shape)
+    for k in range(g.dim):
+        assert np.all(np.take(v, [0, -1], axis=k) == 0.0)
 
 
 def test_d3_laplacian_matches_box_image_oracle():
@@ -136,6 +138,13 @@ def test_domain_growth_single_R_trivial():
                         h=1.0 / 8.0)
     assert rep.worst_violation == 0.0
     assert rep.drifts == []
+
+
+def test_domain_growth_source_on_smallest_box_face():
+    # (1, 0) is interior to the R = 2 box but on the face of the R = 1 box
+    with pytest.raises(SourcePlacementError):
+        domain_growth(make_field("identity", 2), (1.0, 0.0), (1.0, 2.0),
+                      h=1.0 / 8.0)
 
 
 def test_domain_growth_rejects_non_nested():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from greenbox import (ConfigError, SourcePlacementError, assemble, build_grid,
-                      fields, gradient_field, load_delta, make_field, mesh,
-                      transpose_field)
+                      expand_interior, fields, gradient_field, load_delta,
+                      make_field, mesh, transpose_field)
 from greenbox.lift import assemble_lifted, build_slab
 from greenbox.sparse import stencil_offsets
 
@@ -71,9 +71,22 @@ def test_distances_are_bitwise_the_norm_of_node_coords(d, R, n):
 
 
 def test_interior_boundary_classification():
-    g = build_grid(3, 1.0, 5)
-    assert g.boundary_mask.sum() == g.n_nodes - g.n_interior
-    assert g.n_interior == 27
+    # every node: a source is rejected exactly when an axis index is 0 or
+    # n - 1, and an interior source round-trips to its unit vector
+    for d, n in ((2, 7), (3, 5)):
+        g = build_grid(d, 1.0, n)
+        rejected = 0
+        for y in range(g.n_nodes):
+            if any(i in (0, n - 1) for i in g.multi(y)):
+                with pytest.raises(SourcePlacementError):
+                    load_delta(g, y)
+                rejected += 1
+                continue
+            full = expand_interior(g, load_delta(g, y))
+            assert full.shape == (g.n_nodes,)
+            assert full[y] == 1.0 and np.count_nonzero(full) == 1
+        assert rejected == g.n_nodes - g.n_interior
+        assert g.n_interior == (n - 2) ** d
 
 
 def _laplace_stencil(n, R):
@@ -81,7 +94,7 @@ def _laplace_stencil(n, R):
     g = build_grid(2, R, n)
     f = make_field("identity", 2)
     K = assemble(f, g)
-    ii = g.interior_index[g.center_index]
+    ii = int(np.flatnonzero(load_delta(g, g.center_index))[0])
     m = n - 2
     shifts = stencil_offsets(2) @ np.array([m, 1])
     row = {int(s): K.data[k, ii] for k, s in enumerate(shifts)}
@@ -108,15 +121,10 @@ def test_laplace_stencil_h_independent(n, R):
 def test_interior_row_sums_vanish():
     g = build_grid(2, 1.0, 9)
     K = assemble(make_field("identity", 2), g)
-    dense = K.to_dense()
+    m = g.n - 2
+    sums = K.to_dense().sum(axis=1).reshape(m, m)
     # rows whose full 3x3 neighborhood is interior
-    inner = []
-    for idx in g.interior_ids:
-        mi = np.array(g.multi(idx))
-        if np.all(mi >= 2) and np.all(mi <= g.n - 3):
-            inner.append(g.interior_index[idx])
-    assert inner
-    np.testing.assert_allclose(dense[inner].sum(axis=1), 0.0, atol=1e-13)
+    np.testing.assert_allclose(sums[1:-1, 1:-1], 0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 9), (3, 5)])
@@ -171,7 +179,8 @@ def test_load_delta():
     g = build_grid(2, 1.0, 5)
     rhs = load_delta(g, g.center_index)
     assert rhs.sum() == 1.0
-    assert rhs[g.interior_index[g.center_index]] == 1.0
+    c = (g.n - 1) // 2
+    assert rhs.reshape(g.n - 2, g.n - 2)[c - 1, c - 1] == 1.0
     other = load_delta(g, g.node_at((0.5, 0.5)))
     assert float(rhs @ other) == 0.0
     with pytest.raises(SourcePlacementError):
@@ -198,9 +207,10 @@ def test_gradient_bilinear_monomial():
     g = build_grid(2, 1.0, 17)
     x = g.node_coords
     grad = gradient_field(x[:, 0] * x[:, 1], g)
-    interior = ~g.boundary_mask
-    np.testing.assert_allclose(grad[interior, 0], x[interior, 1], atol=1e-12)
-    np.testing.assert_allclose(grad[interior, 1], x[interior, 0], atol=1e-12)
+    inner = grad.reshape(g.shape + (2,))[1:-1, 1:-1]
+    xi = x.reshape(g.shape + (2,))[1:-1, 1:-1]
+    np.testing.assert_allclose(inner[..., 0], xi[..., 1], atol=1e-12)
+    np.testing.assert_allclose(inner[..., 1], xi[..., 0], atol=1e-12)
     # boundary nodes average one-sided cells: O(h) there
     assert np.abs(grad[:, 0] - x[:, 1]).max() <= g.h
 
