@@ -38,12 +38,10 @@ for family in ("identity", "scalar_trig"):
           f"{np.mean(stats - half_stats):.4f}: exponent "
           f"{two_box.fitted_exponent:+.3f}")
 
-    radii = np.asarray(spec.radii)
-    design = np.stack([1.0 / radii, -np.ones_like(radii)], axis=1)
-    (amp, off), *_ = np.linalg.lstsq(design, stats, rcond=None)
-    refit = analysis.fit_power_decay(radii, stats + off, window)
-    print(f"with the box offset {off:.4f} restored: exponent "
-          f"{refit.fitted_exponent:+.3f}, amplitude {amp:.4f}"
+    refit = analysis.fit_offset_decay(spec.radii, stats, window)
+    print(f"with the box offset {refit.offset:.4f} restored: exponent "
+          f"{refit.corrected.fitted_exponent:+.3f}, amplitude "
+          f"{refit.amplitude:.4f}"
           + (f"  (1/4pi = {1 / (4 * np.pi):.4f})" if family == "identity" else ""))
 
     gmag = np.linalg.norm(gb.gradient_field(column.values, grid), axis=1)

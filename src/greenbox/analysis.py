@@ -222,6 +222,31 @@ def fit_two_box_decay(radii, stats_R, stats_half, window, quantity="G"):
 
 
 @dataclass
+class OffsetReport:
+    """Shell means fitted as C / r - c with the d = 3 exponent pinned, and
+    the power-law fit of the shell means plus c."""
+
+    amplitude: float
+    offset: float
+    rel_rms: float          # RMS misfit over the mean shell statistic
+    corrected: DecayReport
+
+
+def fit_offset_decay(radii, stats, window):
+    """Least squares of C / r - c over all radii, then ``fit_power_decay`` of
+    stats + c over ``window``.  On a Dirichlet box the shell mean of a 3D
+    Green column is C/r minus a constant: the smooth corrector equals its
+    value at the source by the mean value property."""
+    radii, stats = np.asarray(radii, float), np.asarray(stats, float)
+    design = np.stack([1.0 / radii, -np.ones_like(radii)], axis=1)
+    coef, *_ = np.linalg.lstsq(design, stats, rcond=None)
+    rms = np.sqrt(np.mean((stats - design @ coef) ** 2))
+    return OffsetReport(float(coef[0]), float(coef[1]),
+                        float(rms / stats.mean()),
+                        fit_power_decay(radii, stats + coef[1], window))
+
+
+@dataclass
 class LogGrowthReport:
     radii: tuple
     annulus_stats: tuple

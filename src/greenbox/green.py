@@ -154,21 +154,25 @@ def adjoint_column(field, grid, x, *, system=None, rel_tol=1e-10):
 def mixed_derivative(field, grid, y, *, system=None, rel_tol=1e-10):
     """Tensor field grad_x grad_y G via central differences in the source.
 
-    Costs 2d extra solves (sources y +- h e_j).  Entry [n, i, j] holds
-    d^2 G / dx_i dy_j at node n; meaningful for |x - y| >= 4h.
+    Costs 2d extra solves (sources y +- h e_j), and none when one of those
+    sources is not interior.  Entry [n, i, j] holds d^2 G / dx_i dy_j at
+    node n; meaningful for |x - y| >= 4h.
     """
+    mesh.load_delta(grid, y)    # y first, so that its neighbours are nodes
+    multi = np.array(grid.multi(y))
+    sources = [[grid.index(multi + sgn * e) for sgn in (+1, -1)]
+               for e in np.eye(grid.dim, dtype=int)]
+    for source in sum(sources, []):
+        mesh.load_delta(grid, source)
     if system is None:
         system = mesh.assemble(field, grid)
-    multi = np.array(grid.multi(y))
-    d, h = grid.dim, grid.h
-    out = np.zeros((grid.n_nodes, d, d))
-    for j in range(d):
-        cols = []
-        for sgn in (+1, -1):
-            shifted = multi.copy()
-            shifted[j] += sgn
-            cols.append(green_column(field, grid, grid.index(shifted),
-                                     system=system, rel_tol=rel_tol))
-        dG_dyj = (cols[0].values - cols[1].values) / (2.0 * h)
-        out[:, :, j] = mesh.gradient_field(dG_dyj, grid)
+
+    def column(source):
+        return green_column(field, grid, source, system=system,
+                            rel_tol=rel_tol).values
+
+    out = np.zeros((grid.n_nodes, grid.dim, grid.dim))
+    for j, (plus, minus) in enumerate(sources):
+        out[:, :, j] = mesh.gradient_field(
+            (column(plus) - column(minus)) / (2.0 * grid.h), grid)
     return out

@@ -93,7 +93,7 @@ def sine_modes(slab):
 def mass_2d(base):
     """Q1 mass matrix M_1 (x) M_1 over the interior nodes of a 2D grid."""
     m1 = np.repeat(base.h * np.array([[1.0], [4.0], [1.0]]) / 6.0, base.n - 2, 1)
-    m1[0, 0] = m1[2, -1] = 0.0    # neighbours beyond the faces
+    sparse.zero_faces(m1, (0,))
     return sparse.SparseSystem((base.n - 2,) * 2, np.einsum(
         "ai,bj->abij", m1, m1).reshape(9, -1), True)
 

@@ -287,14 +287,8 @@ def assemble(field, grid):
     tile = [np.arange(q) % p] + [np.arange(m) % p] * (d - 1)
     cell_of = np.ravel_multi_index(np.ix_(*tile), (p,) * d).ravel()
     data = rows.take(cell_of, axis=1)
-    # zero the couplings that leave the grid, face by face: a multiply by a
-    # mask would leave -0.0, and a (3^d, N) boolean mask raised the peak
-    # memory of a 3D n = 65 column by over 1 MB
-    box = data.reshape((3**d, q) + (m,) * (d - 1))
-    for k, off in enumerate(stencil_offsets(d)):
-        for ax, o in enumerate(off):
-            if o and (ax or q == m):
-                box[(k,) + (slice(None),) * ax + (0 if o < 0 else -1,)] = 0.0
+    sparse.zero_faces(data.reshape((3,) * d + (q,) + (m,) * (d - 1)),
+                      range(0 if q == m else 1, d))
     return SparseSystem((m,) * d, data, symmetric)
 
 

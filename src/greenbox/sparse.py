@@ -1,4 +1,4 @@
-"""3^d stencil operators, multigrid-preconditioned Krylov solvers, dense oracle.
+"""3^d stencil operators and multigrid-preconditioned Krylov solvers.
 
 An operator on a grid of interior nodes is stored as its stencil: one
 coefficient per (neighbour offset, node).  Conjugate gradients (symmetric
@@ -42,7 +42,6 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 
-DENSE_CAP = 4096
 # nodes per matvec block: its data, x, y and product slices take 1 MiB
 _BLOCK = 1 << 15
 # V(SWEEPS, SWEEPS) cycle with damped Jacobi smoothing
@@ -163,21 +162,21 @@ class SparseSystem:
                  for off in stencil_offsets(len(self.shape)))
         return np.array([inside[tuple(v)].ravel() for v in views])
 
-    def expanded(self, rows=slice(None)):
-        """``data[rows]`` in the full layout: node plane j reads plane j mod
+    def expanded(self):
+        """``data`` in the full layout: node plane j reads plane j mod
         period, and the axis-0 face couplings of a slab become exactly zero."""
         m, p = self.shape[0], self.period
         if p == m:
-            return self.data[rows]
-        box = self.data[rows].reshape(-1, p, self.data.shape[1] // p).take(
-            np.arange(m) % p, axis=1)
-        for row, o in zip(box, stencil_offsets(len(self.shape))[rows, 0]):
-            if o:
-                row[0 if o < 0 else -1] = 0.0
+            return self.data
+        box = self.data.reshape(len(self.data), p, -1).take(np.arange(m) % p,
+                                                            axis=1)
+        zero_faces(box.reshape((3,) * len(self.shape) + self.shape), (0,))
         return box.reshape(len(box), -1)
 
     def diagonal(self):
-        return self.expanded([(len(self.data) - 1) // 2])[0]
+        p = self.period
+        return self.data[(len(self.data) - 1) // 2].reshape(p, -1).take(
+            np.arange(self.shape[0]) % p, axis=0).ravel()
 
     def to_dense(self):
         dense = np.zeros((self.n_rows, self.n_rows))
@@ -185,18 +184,18 @@ class SparseSystem:
         dense[i, i + self.shifts[k]] = self.expanded()[k, i]
         return dense
 
-    def validate(self):
-        """Check the stencil invariants; raises ConfigError on violation."""
-        plane = math.prod(self.shape[1:])
-        if (self.data.shape != (3 ** len(self.shape), self.period * plane)
-                or not 0 < self.period <= self.shape[0]):
-            raise ConfigError(f"stencil data shape {self.data.shape} does not "
-                              f"fit grid shape {tuple(self.shape)}")
-        if np.any(self.expanded()[~self._on_grid()] != 0.0):
-            raise ConfigError("nonzero coupling to a node off the grid")
-        if not np.all(self.diagonal() > 0.0):
-            raise ConfigError("nonpositive diagonal entry")
-        return True
+
+def zero_faces(st, axes):
+    """Set the couplings of ``st``, a stencil view of layout (3,) * d + node
+    shape, that leave the grid along ``axes`` (offset -1 of the first node,
+    +1 of the last) to exactly 0.0: a multiply by a mask could leave -0.0.
+    An axis whose offset dimension was sliced to the centre is skipped."""
+    d = st.ndim // 2
+    for ax in axes:
+        if st.shape[ax] == 3:
+            face = np.moveaxis(st, (ax, d + ax), (0, 1))
+            face[0, 0] = 0.0
+            face[2, -1] = 0.0
 
 
 @lru_cache(maxsize=None)
@@ -325,10 +324,8 @@ def _galerkin(system):
             for a in (-1, 0, 1):
                 for A, w_col in _COLUMN_WEIGHTS[s + a]:
                     coarse[A + 1] += (w_row * w_col) * rows[a + 1]
-        if not (wrap and ax == 0):
-            coarse[0, 0] = 0.0    # coarse neighbours beyond the faces
-            coarse[2, -1] = 0.0
         st = np.moveaxis(coarse, (0, 1), (ax, d + ax))
+    zero_faces(st, axes[1:] if wrap else axes)
     shape = ((m - 1) // 2,) + st.shape[d + 1:] if wrap else st.shape[d:]
     full = np.zeros((3,) * d + st.shape[d:])
     full[centre] = st
@@ -492,15 +489,3 @@ def solve(system, rhs, rel_tol=1e-10, max_iter=None):
         f"{name} did not reach {rel_tol:g} in {max_iter} iterations "
         f"(residual {res:g})", residual=res, iterations=len(history),
         history=history)
-
-
-def dense_solve(system, rhs):
-    """Direct elimination with partial pivoting; the test oracle.
-
-    Capped at 4096 unknowns.  A numerically singular matrix raises
-    numpy.linalg.LinAlgError.
-    """
-    if system.n_rows > DENSE_CAP:
-        raise ConfigError(
-            f"dense oracle capped at {DENSE_CAP} unknowns, got {system.n_rows}")
-    return np.linalg.solve(system.to_dense(), np.asarray(rhs, dtype=float))

@@ -110,25 +110,16 @@ def checks_decay3d(families=DECAY_FAMILIES, R=2.0, n=65, rel_tol=1e-10,
             details=f"exponent of 2 f_R - f_(R/2), window {window}, "
                     f"R={R}, n={n}, half box n={half.n}"))
 
-        # companion fit acknowledging the finite-box offset: on a Dirichlet
-        # box the shell average is C/r minus a constant (the smooth corrector
-        # equals its value at the source by the mean value property), so fit
-        # (C, c) linearly with the exponent pinned and re-fit with the offset
-        # restored
-        radii = np.asarray(spec.radii)
-        design = np.stack([radii**(2 - 3), -np.ones_like(radii)], axis=1)
-        coef, *_ = np.linalg.lstsq(design, stats, rcond=None)
-        c_amp, c_off = float(coef[0]), float(coef[1])
-        model = design @ coef
-        rel_rms = float(np.sqrt(np.mean((stats - model) ** 2)) / stats.mean())
-        rep_corr = analysis.fit_power_decay(radii, stats + c_off, window, "G")
-        meas = {"amplitude": c_amp, "offset": c_off, "rel_rms": rel_rms,
-                "corrected_exponent": rep_corr.fitted_exponent}
-        ok = rel_rms <= 0.02 and _within(rep_corr.fitted_exponent, -1.0, 0.05)
+        # companion fit acknowledging the finite-box offset
+        fit = analysis.fit_offset_decay(spec.radii, stats, window)
+        exponent = fit.corrected.fitted_exponent
+        meas = {"amplitude": fit.amplitude, "offset": fit.offset,
+                "rel_rms": fit.rel_rms, "corrected_exponent": exponent}
+        ok = fit.rel_rms <= 0.02 and _within(exponent, -1.0, 0.05)
         if fam == "identity":
             free_amp = 1.0 / (4.0 * np.pi)
-            meas["amplitude_vs_free_space"] = c_amp / free_amp - 1.0
-            ok = ok and abs(c_amp / free_amp - 1.0) <= 0.03
+            meas["amplitude_vs_free_space"] = fit.amplitude / free_amp - 1.0
+            ok = ok and abs(fit.amplitude / free_amp - 1.0) <= 0.03
         checks.append(Check(
             name=f"decay3d.G_offset_corrected.{fam}",
             anchor="G_R = C r^(2-d) - const(R) on the box, C domain-independent",

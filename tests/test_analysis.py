@@ -7,10 +7,11 @@ from greenbox import ConfigError, build_grid, green_column, make_field
 from greenbox.analysis import (AnnulusSpec, annulus_average,
                                embedding_constant,
                                embedding_constant_inverted_prefactor,
-                               fit_log_growth, fit_power_decay,
-                               fit_two_box_decay, fit_window, interior_ratio,
-                               lebesgue_norm, lorentz_sandwich_check,
-                               make_annuli, weak_lorentz_norm)
+                               fit_log_growth, fit_offset_decay,
+                               fit_power_decay, fit_two_box_decay,
+                               fit_window, interior_ratio, lebesgue_norm,
+                               lorentz_sandwich_check, make_annuli,
+                               weak_lorentz_norm)
 from greenbox.mesh import gradient_field
 
 
@@ -159,6 +160,18 @@ def test_fit_two_box_decay_eliminates_box_offset():
         # the offset is what biases the one-box fit
         raw = fit_power_decay(radii, f_R, window)
         assert abs(raw.fitted_exponent - p) > 0.1
+
+
+def test_fit_offset_decay_recovers_amplitude_and_offset():
+    # shell means C / r - c on a Dirichlet box, over decay3d's window
+    C, c = 1.0 / (4.0 * np.pi), 0.0348
+    radii = np.geomspace(0.25, 0.5, 9)
+    fit = fit_offset_decay(radii, C / radii - c, (0.25, 0.5))
+    assert abs(fit.amplitude - C) <= 1e-12
+    assert abs(fit.offset - c) <= 1e-12
+    assert fit.rel_rms <= 1e-14
+    assert abs(fit.corrected.fitted_exponent + 1.0) <= 1e-12
+    assert fit.corrected.fitted_constant == pytest.approx(C, rel=1e-12)
 
 
 def test_fit_power_errors():

@@ -5,7 +5,8 @@ import pytest
 
 from greenbox import (ConfigError, SourcePlacementError, adjoint_column,
                       assemble, build_grid, domain_growth, gradient_field,
-                      green_column, make_field, mixed_derivative, normalize_2d)
+                      green_column, make_field, mixed_derivative, normalize_2d,
+                      sparse)
 from greenbox.verify import checks_decay3d
 
 FAMILIES = ("identity", "scalar_trig", "diag_aniso", "nonsym_skew")
@@ -218,12 +219,18 @@ def test_mixed_derivative_kernel_symmetry():
     assert np.abs(a - b).max() <= 0.1 * np.abs(a).max()
 
 
-def test_mixed_derivative_boundary_neighbor_rejected():
+def test_mixed_derivative_boundary_neighbor_rejected(monkeypatch):
     f = make_field("identity", 2)
     g = build_grid(2, 1.0, 9)
     edge = g.node_at((g.half_width - g.h, 0.0))
-    with pytest.raises(SourcePlacementError):
-        mixed_derivative(f, g, edge)
+    solve, solves = sparse.solve, []
+    monkeypatch.setattr(sparse, "solve", lambda *args, **kw: (
+        solves.append(args) or solve(*args, **kw)))
+    # a source next to the face, and one on it, are rejected before a solve
+    for y in (edge, g.index((1, 4)), g.index((0, 4))):
+        with pytest.raises(SourcePlacementError):
+            mixed_derivative(f, g, y)
+    assert solves == []
 
 
 def test_green_column_boundary_source_rejected():

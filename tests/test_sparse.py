@@ -7,8 +7,9 @@ import pytest
 
 import greenbox
 from greenbox import (ConfigError, ConvergenceError, SparseSystem, assemble,
-                      build_grid, dense_solve, lift, load_delta, make_field,
-                      matvec, mesh, solve, sparse)
+                      build_grid, lift, load_delta, make_field, matvec, mesh,
+                      solve, sparse)
+from oracles import dense_solve, validate
 
 
 def from_dense(mat, symmetric=None):
@@ -255,7 +256,7 @@ def test_galerkin_levels_match_dense_triple_product():
             x = np.cos(np.arange(fine.n_rows) + 1.0)
             np.testing.assert_allclose(sparse.restrict(x, fine.shape),
                                        P.T @ x, rtol=1e-14, atol=1e-14)
-            assert coarse.validate() and stored.validate()
+            assert validate(coarse) and validate(stored)
             assert coarse.symmetric == stored.symmetric == fine.symmetric
             np.testing.assert_allclose(coarse.to_dense(), expected,
                                        rtol=1e-12,
@@ -291,7 +292,7 @@ def test_matvec_skipping_a_zero_row_is_bitwise_the_full_loop():
     data[4] = 1.0 + np.abs(data[4])
     data[2] = 0.0  # offset (-1, 1) couples nothing
     system = SparseSystem(K.shape, data, False)
-    assert system.validate()
+    assert validate(system)
     assert system.couplings.rows == (0, 1, 3, 4, 5, 6, 7, 8)
     x = rng.standard_normal(system.n_rows)
     x[::5] = -0.0
@@ -330,7 +331,7 @@ def test_blocked_matvec_seams_are_bitwise_the_full_loop(monkeypatch, block):
     # 1: a seam after every node; 3 and 100: a partial last block on each
     monkeypatch.setattr(sparse, "_BLOCK", block)
     for system in systems:
-        assert system.validate()
+        assert validate(system)
         x = rng.standard_normal(system.n_rows)
         x[::3] = -0.0
         x[1::7] = 0.0
@@ -384,7 +385,7 @@ def test_slab_is_bitwise_the_full_layout(monkeypatch, dim, R, n, family,
     slab = assemble(f, g)
     assert slab.period < slab.shape[0]
     assert slab.data.shape == (3 ** dim, block)
-    assert slab.validate()
+    assert validate(slab)
     assert slab.expanded().tobytes() == full.data.tobytes()
     # every coarse level keeps the full layout: its period is compared too
     assert _layout_results(slab, g) == expected
@@ -615,10 +616,35 @@ def test_stencil_invariants_on_assembled_systems():
         g = build_grid(dim, 1.0, n)
         for fam in ("identity", "nonsym_skew"):
             K = assemble(make_field(fam, dim), g)
-            assert K.validate()
+            assert validate(K)
             assert np.all(K.diagonal() > 0.0)
             off_grid = K.data.copy()
             off_grid[0, 0] = 1.0  # node 0's (-1, ..., -1) neighbour
             for broken in (K.data[:, 1:], off_grid, -K.data):
                 with pytest.raises(ConfigError):
-                    SparseSystem(K.shape, broken, K.symmetric).validate()
+                    validate(SparseSystem(K.shape, broken, K.symmetric))
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (5,), (1, 4), (2, 3),
+                                   (3, 1, 2), (2, 2, 5)])
+def test_zero_faces_leaves_exactly_the_on_grid_couplings(shape):
+    d = len(shape)
+    data = 1.0 + np.random.default_rng(5).random((3 ** d,) + shape)
+    sparse.zero_faces(data.reshape((3,) * d + shape), range(d))
+    on_grid = SparseSystem(shape, data.reshape(3 ** d, -1), False)._on_grid()
+    assert np.array_equal(data.reshape(3 ** d, -1) != 0.0, on_grid)
+    assert not np.signbit(data).any()
+
+
+def test_zero_faces_skips_an_axis_sliced_to_the_centre():
+    # the lift block's layout: axis 0 couples nothing, so its offset
+    # dimension is sliced to the centre and its rows +-1 stay untouched
+    shape = (4, 3, 2)
+    data = 1.0 + np.random.default_rng(6).random((27,) + shape)
+    view = data.reshape((3, 3, 3) + shape)[1:2]
+    sparse.zero_faces(view, range(3))
+    on_grid = SparseSystem(shape, data.reshape(27, -1), False)._on_grid()
+    centre = sparse.stencil_offsets(3)[:, 0] == 0
+    assert np.array_equal(data.reshape(27, -1)[centre] != 0.0,
+                          on_grid[centre])
+    assert np.all(data[~centre] > 1.0)
