@@ -257,7 +257,13 @@ class LogGrowthReport:
 
 
 def fit_log_growth(radii, stats, window):
-    """OLS of f(r) on 1 + |log r|; a bounded slope certifies the 2D bound."""
+    """OLS of f(r) on 1 + |log r|; a bounded slope certifies the 2D bound.
+
+    1 + |log r| has a kink at r = 1, so a window with lo < 1 < hi fits two
+    branches with one slope and raises ConfigError.
+    """
+    if window[0] < 1.0 < window[1]:
+        raise ConfigError(f"log-growth window {tuple(window)} straddles r = 1")
     r, f = _fit_points(radii, stats, window)
     x = 1.0 + np.abs(np.log(r))
     slope, intercept = np.polyfit(x, f, 1)

@@ -464,28 +464,40 @@ def solve(system, rhs, rel_tol=1e-10, max_iter=None):
     with the part of the problem that multigrid leaves to smoothing.  Raises
     ConvergenceError (carrying the true residual and the recursive residual
     norm of every iteration, over all restarts) when max_iter is exhausted.
+    A non-finite rhs raises ConfigError.  The solve runs on rhs 2^-e, e the
+    exponent of max|rhs|, and scales u, the residual and the history back by
+    2^e: both scalings are exact, so the result is bitwise that of the
+    unscaled solve wherever that one neither underflows nor overflows, and
+    an rhs near either end of the float64 range solves like any other.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ConfigError("rel_tol must lie in (0, 1)")
     rhs = np.asarray(rhs, dtype=float)
+    peak = float(np.abs(rhs).max())    # nan or inf for any such entry
+    if not math.isfinite(peak):
+        raise ConfigError("rhs must be finite")
     x = np.zeros(system.n_rows)
-    res = _norm(rhs)
-    if res == 0.0:
+    if peak == 0.0:
         return x, SolveInfo(0, 0.0)
+    e = math.frexp(peak)[1]
+    b = np.ldexp(rhs, -e)
     levels = (system,) + system.hierarchy
     if max_iter is None:
         max_iter = 100 + 20 * _coupled_length(levels[-1])
+    res = _norm(b)
     tol_abs = rel_tol * res
     recurrence = _cg if system.symmetric else _bicgstab
-    r, history = rhs, []
+    r, history = b, []
     while len(history) < max_iter:
         x += recurrence(levels, r, tol_abs, history, max_iter)
-        r = rhs - matvec(system, x)
+        r = b - matvec(system, x)
         res = _norm(r)
         if res <= tol_abs:
-            return x, SolveInfo(len(history), res)
+            return (np.ldexp(x, e, out=x),
+                    SolveInfo(len(history), math.ldexp(res, e)))
     name = "CG" if system.symmetric else "BiCGStab"
+    res = math.ldexp(res, e)
     raise ConvergenceError(
         f"{name} did not reach {rel_tol:g} in {max_iter} iterations "
         f"(residual {res:g})", residual=res, iterations=len(history),
-        history=history)
+        history=[math.ldexp(h, e) for h in history])

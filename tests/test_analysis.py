@@ -192,6 +192,17 @@ def test_fit_log_growth_synthetic():
     assert rep.rms_residual <= 1e-12
 
 
+def test_fit_log_growth_rejects_a_window_across_the_kink():
+    # 1 + |log r| has a kink at r = 1: one slope cannot fit both branches
+    radii = np.geomspace(0.05, 2.0, 15)
+    stats = 1.0 + np.abs(np.log(radii))
+    with pytest.raises(ConfigError):
+        fit_log_growth(radii, stats, (0.5, 2.0))
+    # a window that ends at r = 1, like uniform's R = 4 power window, fits
+    rep = fit_log_growth(radii, stats, (0.125, 1.0))
+    assert rep.slope == pytest.approx(1.0, abs=1e-12)
+
+
 def test_fit_window_log_cap():
     g = build_grid(2, 4.0, 129)
     assert fit_window(g) == (4 * g.h, 1.0)

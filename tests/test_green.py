@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from greenbox import (ConfigError, SourcePlacementError, adjoint_column,
-                      assemble, build_grid, domain_growth, gradient_field,
-                      green_column, make_field, mixed_derivative, normalize_2d,
-                      sparse)
+                      assemble, build_grid, domain_growth, expand_interior,
+                      gradient_field, green_column, make_field,
+                      mixed_derivative, normalize_2d, sparse)
 from greenbox.verify import checks_decay3d
 
 FAMILIES = ("identity", "scalar_trig", "diag_aniso", "nonsym_skew")
@@ -205,6 +205,36 @@ def test_mixed_derivative_constant_shift_invariance():
         cm = green_column(f, g, g.index(minus), system=K).values + 7.5
         manual[:, :, j] = gradient_field((cp - cm) / (2 * g.h), g)
     np.testing.assert_allclose(manual, tensor, atol=1e-9)
+
+
+@pytest.mark.parametrize("dim, n, family", [(2, 33, "scalar_trig"),
+                                           (2, 33, "nonsym_skew"),
+                                           (3, 17, "diag_aniso")])
+def test_mixed_derivative_is_one_dipole_solve_per_axis(monkeypatch, dim, n,
+                                                       family):
+    # by linearity the dipole solve of axis j is the difference of the
+    # columns of y + h e_j and y - h e_j, which it replaces
+    f = make_field(family, dim)
+    g = build_grid(dim, 1.0, n)
+    K = assemble(f, g)
+    y = g.center_index + 1
+    solve, loads = sparse.solve, []
+    monkeypatch.setattr(sparse, "solve", lambda system, rhs, **kw: (
+        loads.append(rhs.copy()) or solve(system, rhs, **kw)))
+    tensor = mixed_derivative(f, g, y, system=K)
+    monkeypatch.undo()
+    assert len(loads) == dim
+    multi = np.array(g.multi(y))
+    for j, (e, load) in enumerate(zip(np.eye(dim, dtype=int), loads)):
+        plus, minus = g.index(multi + e), g.index(multi - e)
+        full = expand_interior(g, load)
+        assert np.count_nonzero(full) == 2
+        assert full[plus] == 1.0 and full[minus] == -1.0
+        cp = green_column(f, g, plus, system=K).values
+        cm = green_column(f, g, minus, system=K).values
+        two_columns = gradient_field((cp - cm) / (2 * g.h), g)
+        assert (np.abs(tensor[:, :, j] - two_columns).max()
+                <= 1e-8 * np.abs(two_columns).max())
 
 
 def test_mixed_derivative_kernel_symmetry():

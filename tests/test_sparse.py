@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -119,6 +120,45 @@ def test_convergence_failure_carries_residual():
     assert exc.value.residual is not None and exc.value.residual > 0.0
     with pytest.raises(ConvergenceError):
         solve(unsymmetric(K), rhs, rel_tol=1e-12, max_iter=2)
+
+
+@pytest.mark.parametrize("dim, n, family", [(2, 17, "scalar_trig"),
+                                           (2, 17, "nonsym_skew"),
+                                           (3, 9, "scalar_trig")])
+def test_solve_is_bitwise_equivariant_under_powers_of_two(dim, n, family):
+    g = build_grid(dim, 1.0, n)
+    K = assemble(make_field(family, dim), g)
+    r = np.sin(np.arange(K.n_rows) + 1.0)
+    u, info = solve(K, r)
+    for k in (-600, -1, 600):
+        uk, info_k = solve(K, np.ldexp(r, k))
+        assert uk.tobytes() == np.ldexp(u, k).tobytes()
+        assert info_k == (info.iterations, math.ldexp(info.residual, k))
+
+
+def test_solve_at_the_ends_of_the_float64_range():
+    g = build_grid(2, 1.0, 17)
+    K = assemble(make_field("scalar_trig", 2), g)
+    delta = load_delta(g, g.center_index)
+    u, _ = solve(K, delta)
+    # without scaling, ||rhs||^2 underflows (1e-160, 1e-170: a division by
+    # zero, or u = 0 as if rhs were zero) or overflows (1e160: nan)
+    for s in (1e-160, 1e-170, 1e160):
+        us, info = solve(K, s * delta)
+        assert info.iterations > 0 and 0.0 < info.residual <= 1e-10 * s
+        assert np.abs(us / s - u).max() <= 1e-8 * np.abs(u).max()
+    with pytest.raises(ConvergenceError) as ref:
+        solve(K, delta, rel_tol=1e-12, max_iter=2)
+    with pytest.raises(ConvergenceError) as big:
+        solve(K, np.ldexp(delta, 600), rel_tol=1e-12, max_iter=2)
+    assert big.value.residual == math.ldexp(ref.value.residual, 600)
+    assert big.value.history == [math.ldexp(h, 600)
+                                  for h in ref.value.history]
+    for bad in (np.nan, np.inf, -np.inf):
+        rhs = delta.copy()
+        rhs[0] = bad
+        with pytest.raises(ConfigError):
+            solve(K, rhs)
 
 
 def test_zero_iteration_cap_raises_with_the_rhs_residual():
