@@ -5,8 +5,16 @@ coefficient per (neighbour offset, node).  Conjugate gradients (symmetric
 case) and BiCGStab (otherwise) are preconditioned by one geometric multigrid
 V-cycle: vertex-centred 2:1 coarsening, linear prolongation P, Galerkin
 coarse stencils P^T K P (faithful to an oscillating coefficient; Alcouffe,
-Brandt, Dendy & Painter, SIAM J. Sci. Stat. Comput. 2, 1981) and damped
-Jacobi smoothing.  The hierarchy is built once per system and cached on it.
+Brandt, Dendy & Painter, SIAM J. Sci. Stat. Comput. 2, 1981) and scaled
+l1-Jacobi smoothing (Baker, Falgout, Kolev & Yang, SIAM J. Sci. Comput. 33,
+2011): node i is weighted THETA / sum_j |K_ij| over its on-grid couplings.
+For symmetric K, M = diag(sum_j |K_ij|) has M - K >= 0, so the eigenvalues
+of THETA M^-1 K lie in (0, THETA]: with THETA < 2 every sweep contracts for
+any coercive A, however anisotropic, and the V-cycle stays SPD for CG.  On
+a row whose off-diagonal couplings are nonpositive and sum to -K_ii (an
+interior row of the Laplacian) the weight is the damped Jacobi
+THETA / 2 / K_ii = 0.8 / K_ii.  The hierarchy is built once per system and
+cached on it.
 The V-cycle runs in float32 inside float64 Krylov (mixed-precision
 multigrid; Goddeke, Strzodka & Turek, IJPEDS 22, 2007): the coarse levels
 and the ``single`` copy of the fine stencil are float32, while CG, BiCGStab,
@@ -44,8 +52,8 @@ from .errors import ConfigError, ConvergenceError
 
 # nodes per matvec block: its data, x, y and product slices take 1 MiB
 _BLOCK = 1 << 15
-# V(SWEEPS, SWEEPS) cycle with damped Jacobi smoothing
-OMEGA = 0.6
+# V(SWEEPS, SWEEPS) cycle with scaled l1-Jacobi smoothing
+THETA = 1.6
 SWEEPS = 2
 
 
@@ -114,7 +122,7 @@ class SparseSystem:
 
         Each level is built in float64 from the float64 level above and
         rounded once; only the rounded levels stay.  Empty when no axis
-        coarsens: the preconditioner is then damped Jacobi smoothing alone.
+        coarsens: the preconditioner is then l1-Jacobi smoothing alone.
         """
         levels = []
         level = self
@@ -137,8 +145,31 @@ class SparseSystem:
 
     @cached_property
     def smoother(self):
-        """Damped Jacobi weights OMEGA / diag(K), in the stencil's dtype."""
-        return OMEGA / self.diagonal()
+        """Scaled l1-Jacobi weights THETA / sum_j |K_ij| in the stencil's
+        dtype, the sum over the on-grid couplings j of node i (Baker,
+        Falgout, Kolev & Yang, SIAM J. Sci. Comput. 33, 2011).
+
+        Summed on the stored rows, coupled row by coupled row in offset
+        order; node planes 0 and m - 1 are summed again without the rows that
+        leave the grid along axis 0, so a slab's periodic face couplings are
+        skipped, and the weights are bitwise those of the full layout.
+        """
+        m, p = self.shape[0], self.period
+        plane = self.data.shape[1] // p
+        along = stencil_offsets(len(self.shape))[:, 0]
+
+        def l1(rows, a, b):
+            s = np.zeros(b - a, self.data.dtype)
+            for k in rows:
+                s += np.abs(self.data[k, a:b])
+            return s
+        rows = self.couplings.rows
+        w = self._widen(l1(rows, 0, p * plane))
+        for j in {0, m - 1}:
+            a = j % p * plane
+            w[j * plane:(j + 1) * plane] = l1(
+                [k for k in rows if 0 <= j + along[k] < m], a, a + plane)
+        return THETA / w
 
     @cached_property
     def couplings(self):
@@ -162,21 +193,24 @@ class SparseSystem:
                  for off in stencil_offsets(len(self.shape)))
         return np.array([inside[tuple(v)].ravel() for v in views])
 
+    def _widen(self, values):
+        """Per-node ``values`` stored like ``data`` (its last axis) in the
+        full layout, a new array: node plane j reads plane j mod period."""
+        lead, p = values.shape[:-1], self.period
+        return values.reshape(lead + (p, -1)).take(
+            np.arange(self.shape[0]) % p, axis=-2).reshape(lead + (-1,))
+
     def expanded(self):
         """``data`` in the full layout: node plane j reads plane j mod
         period, and the axis-0 face couplings of a slab become exactly zero."""
-        m, p = self.shape[0], self.period
-        if p == m:
+        if self.period == self.shape[0]:
             return self.data
-        box = self.data.reshape(len(self.data), p, -1).take(np.arange(m) % p,
-                                                            axis=1)
+        box = self._widen(self.data)
         zero_faces(box.reshape((3,) * len(self.shape) + self.shape), (0,))
-        return box.reshape(len(box), -1)
+        return box
 
     def diagonal(self):
-        p = self.period
-        return self.data[(len(self.data) - 1) // 2].reshape(p, -1).take(
-            np.arange(self.shape[0]) % p, axis=0).ravel()
+        return self._widen(self.data[(len(self.data) - 1) // 2])
 
     def to_dense(self):
         dense = np.zeros((self.n_rows, self.n_rows))
@@ -468,7 +502,10 @@ def solve(system, rhs, rel_tol=1e-10, max_iter=None):
     exponent of max|rhs|, and scales u, the residual and the history back by
     2^e: both scalings are exact, so the result is bitwise that of the
     unscaled solve wherever that one neither underflows nor overflows, and
-    an rhs near either end of the float64 range solves like any other.
+    an rhs near either end of the float64 range solves like any other.  When
+    scaling back makes a normal entry of u subnormal or zero, u itself is
+    re-checked (one more matvec, in the scaled domain) and ConvergenceError
+    is raised if it misses the bound, as every u does at an rhs of 5e-324.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ConfigError("rel_tol must lie in (0, 1)")
@@ -488,16 +525,32 @@ def solve(system, rhs, rel_tol=1e-10, max_iter=None):
     tol_abs = rel_tol * res
     recurrence = _cg if system.symmetric else _bicgstab
     r, history = b, []
+    why = f"in {max_iter} iterations"
     while len(history) < max_iter:
         x += recurrence(levels, r, tol_abs, history, max_iter)
         r = b - matvec(system, x)
         res = _norm(r)
         if res <= tol_abs:
-            return (np.ldexp(x, e, out=x),
-                    SolveInfo(len(history), math.ldexp(res, e)))
+            flushed = _flushes(x, e)
+            u = np.ldexp(x, e, out=x)
+            if flushed:
+                res = _norm(b - matvec(system, np.ldexp(u, -e)))
+                why = "once u is scaled back to subnormal float64"
+            if res <= tol_abs:
+                return u, SolveInfo(len(history), math.ldexp(res, e))
+            break
     name = "CG" if system.symmetric else "BiCGStab"
     res = math.ldexp(res, e)
     raise ConvergenceError(
-        f"{name} did not reach {rel_tol:g} in {max_iter} iterations "
-        f"(residual {res:g})", residual=res, iterations=len(history),
+        f"{name} did not reach {rel_tol:g} {why} (residual {res:g})",
+        residual=res, iterations=len(history),
         history=[math.ldexp(h, e) for h in history])
+
+
+def _flushes(x, e):
+    """Scaling x by 2^e makes one of its normal entries subnormal or zero."""
+    if e >= 0:
+        return False
+    tiny = np.finfo(float).tiny
+    a = np.abs(x)
+    return bool(((a >= tiny) & (a < math.ldexp(tiny, -e))).any())

@@ -147,6 +147,11 @@ def test_solve_at_the_ends_of_the_float64_range():
         us, info = solve(K, s * delta)
         assert info.iterations > 0 and 0.0 < info.residual <= 1e-10 * s
         assert np.abs(us / s - u).max() <= 1e-8 * np.abs(u).max()
+    # at the smallest subnormal, u scaled back flushes to 0 or to a few
+    # subnormal steps: no float64 u meets the bound, and the re-check says so
+    with pytest.raises(ConvergenceError, match="subnormal") as sub:
+        solve(K, 5e-324 * delta)
+    assert sub.value.residual > 0.0    # not the 0.0 of a flushed residual
     with pytest.raises(ConvergenceError) as ref:
         solve(K, delta, rel_tol=1e-12, max_iter=2)
     with pytest.raises(ConvergenceError) as big:
@@ -408,9 +413,10 @@ def _layout_results(K, g):
     x[::4] = -0.0
     u, info = solve(K, load_delta(g, g.center_index + 1))
     return ([matvec(K, x).tobytes(), K.diagonal().tobytes(),
-             K.to_dense().tobytes(), u.tobytes(), info]
-            + [(lv.shape, lv.period, lv.expanded().tobytes())
-               for lv in K.hierarchy])
+             K.single.smoother.tobytes(), K.to_dense().tobytes(),
+             u.tobytes(), info]
+            + [(lv.shape, lv.period, lv.expanded().tobytes(),
+                lv.smoother.tobytes()) for lv in K.hierarchy])
 
 
 @pytest.mark.parametrize("dim,R,n,family,block", SLABS)
@@ -420,6 +426,9 @@ def test_slab_is_bitwise_the_full_layout(monkeypatch, dim, R, n, family,
     f = make_field(family, dim)
     full = assemble(f, g)
     assert full.period == full.shape[0]
+    # l1-Jacobi weights: THETA over the row sums of |K| over on-grid couplings
+    l1 = np.abs(full.to_dense()).sum(axis=1)
+    np.testing.assert_allclose(full.smoother, sparse.THETA / l1, rtol=1e-14)
     expected = _layout_results(full, g)
     monkeypatch.setattr(sparse, "_BLOCK", block)
     slab = assemble(f, g)
@@ -517,10 +526,10 @@ def test_multigrid_iterations_per_column(dim, n):
 
 
 # (dim, R, n, family): iterations of the float64 CG/BiCGStab with the float32
-# V-cycle, equal to those of the float64 V-cycle it replaced
-ACCEPTANCE_SOLVES = [((3, 2.0, 65, "scalar_trig"), 9),
-                     ((3, 1.0, 33, "nonsym_skew"), 5),
-                     ((2, 4.0, 129, "scalar_trig"), 8)]
+# V-cycle
+ACCEPTANCE_SOLVES = [((3, 2.0, 65, "scalar_trig"), 7),
+                     ((3, 1.0, 33, "nonsym_skew"), 4),
+                     ((2, 4.0, 129, "scalar_trig"), 7)]
 
 
 @pytest.mark.parametrize("size,iterations", ACCEPTANCE_SOLVES)
@@ -538,7 +547,21 @@ def test_lift_iterations_at_base_33():
     counts = [lift.lifted_column(make_field(family, 2), slab,
                                  g.center_index)[1].iterations
               for family in ("identity", "scalar_trig")]
-    assert counts == [9, 8]
+    assert counts == [7, 7]
+
+
+@pytest.mark.parametrize("params,iterations", [((1, 1, 20, 0.1, 0.1, 5), 29),
+                                               ((1, 1, 5, 0.1, 0.1, 1), 14)])
+def test_anisotropic_coefficient_converges(params, iterations):
+    # a 20:1 (5:1) diagonal A: damped Jacobi at omega = 0.6 raised
+    # ConvergenceError after 120 iterations (took 35); l1-Jacobi contracts
+    # for any coercive A
+    g = build_grid(3, 1.0, 33)
+    K = assemble(make_field("diag_aniso", 3, params), g)
+    rhs = load_delta(g, g.center_index)
+    u, info = solve(K, rhs)
+    assert info.iterations == iterations
+    assert np.linalg.norm(matvec(K, u) - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 @pytest.mark.parametrize("family", ["scalar_trig", "nonsym_skew"])
