@@ -59,7 +59,8 @@ def build_slab(base, t_half_width):
     slab = SlabGrid(base=base, t_half_width=float(t_half_width))
     if slab.n_layers < 5:
         raise ConfigError("slab needs at least 5 layers")
-    mesh.check_stencil_fits(3, (slab.n_layers - 1) // 2 * (base.n - 2) ** 2)
+    # lifted_column's block system: 9 rows over (n_layers - 1) / 2 modes
+    mesh.check_stencil_fits(2, (slab.n_layers - 1) // 2 * (base.n - 2) ** 2)
     return slab
 
 
@@ -104,9 +105,10 @@ def lifted_column(field, slab, y, *, system=None, rel_tol=1e-10):
     ``y`` is a full node index of the base grid and ``system`` the base
     stiffness K_x (assembled when None).  Since K = K_x (x) M_t + M_x (x) K_t,
     the q odd modes solve (mu_k K_x + lambda_k M_x) u_k = phi_k(0) e_y as one
-    block system of shape (q, *base interior).  Its mode axis is uncoupled,
-    so the solver skips its 18 zero stencil rows and, at even q, caps it at
-    120 iterations; its residual is the slab residual (the sine transform is
+    block system of shape (q, *base interior).  Its mode axis is a batch
+    axis: the system stores only the 9 stencil rows of the base axes, never
+    coarsens the modes into each other, and has the base grid's iteration
+    cap.  Its residual is the slab residual (the sine transform is
     orthonormal).  Returns the full slab values (zero faces) and SolveInfo."""
     if system is None:
         system = mesh.assemble(field, slab.base)
@@ -114,11 +116,13 @@ def lifted_column(field, slab, y, *, system=None, rel_tol=1e-10):
     q, ishape = len(phi), system.shape
     rhs = np.multiply.outer(phi[:, (slab.n_layers - 3) // 2],
                             mesh.load_delta(slab.base, y))
-    data = np.zeros((3, 9, q, system.n_rows))  # t-offset, x-offset, mode, node
-    data[1] = (mu[:, None] * system.expanded()[:, None]
-               + lam[:, None] * mass_2d(slab.base).data[:, None])
-    blocks = sparse.SparseSystem((q,) + ishape, data.reshape(27, -1),
-                                 system.symmetric)
+    stiffness, mass = system.expanded(), mass_2d(slab.base).data
+    data = np.empty((9, q, system.n_rows))    # x-offset, mode, node
+    for k in range(9):
+        np.multiply.outer(mu, stiffness[k], out=data[k])
+        data[k] += np.multiply.outer(lam, mass[k])
+    blocks = sparse.SparseSystem((q,) + ishape, data.reshape(9, -1),
+                                 system.symmetric, stencil_axes=(1, 2))
     u, info = sparse.solve(blocks, rhs.ravel(), rel_tol=rel_tol)
     full = np.zeros(slab.shape)
     full[1:-1, 1:-1, 1:-1] = np.einsum("kab,kj->abj",

@@ -141,8 +141,9 @@ def physical_memory():
 
 
 def check_stencil_fits(d, nodes):
-    """Reject a 3^d stencil of ``nodes`` stored nodes whose float64 data and
-    float32 copy (12 bytes per entry) exceed physical memory."""
+    """Reject a stencil of 3^d rows (d its stencil axes) over ``nodes``
+    stored nodes whose float64 data and float32 copy (12 bytes per entry)
+    exceed physical memory."""
     need = 12 * 3**d * nodes
     have = physical_memory()
     if need > have:

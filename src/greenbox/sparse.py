@@ -26,7 +26,12 @@ e the exponent of max|b|, before rounding it to float32 and undoes that on
 return; both scalings are exact, and a tiny residual (1e-46 at rel_tol =
 1e-300) does not flush to zero in float32.  matvec, prolong, restrict and
 the smoother weights follow the dtype of the data they are given.
-Matvecs and Galerkin products skip stencil rows that are zero everywhere.
+A stencil stores rows only over the axes it couples; the other axes are
+batch axes (the mode axis of the lift block system), which are never padded
+or coarsened, so a batch of uncoupled problems stores and cycles only its
+3^c rows.  Matvecs skip stencil rows that are zero everywhere; those are
+now only the face-zeroed rows of a level one node long along a stencil axis,
+like the lift block system's coarsest level (q, 1, 1).
 A matvec walks the nodes in blocks of _BLOCK, each block running the coupled
 rows in offset order, so a block's slices stay in a core's L2 cache while
 every node sees the same operations in the same order as in one sweep: the
@@ -80,14 +85,18 @@ def stencil_offsets(d):
 
 @dataclass
 class SparseSystem:
-    """3^d-point stencil operator over the nodes of a grid of ``shape``.
+    """3^c-point stencil operator over the nodes of a grid of ``shape``.
 
-    ``data[k, i]`` couples node i (C order) to its neighbour at
-    ``stencil_offsets(d)[k]``; C-contiguous, it holds the first ``period``
-    node planes along axis 0, and node plane j uses plane j mod period.
-    Entries whose neighbour is off the grid are exactly zero, except the
-    periodic axis-0 face couplings of a slab (period < shape[0]).  The
-    diagonal (centre row) is positive (coercivity of the discrete form).
+    The stencil couples neighbours along its c ``stencil_axes`` (default:
+    every axis); the other axes are batch axes, along which nodes are
+    uncoupled: a batch axis holds no stencil rows, needs no padding and
+    never coarsens.  ``data[k, i]`` couples node i (C order) to its
+    neighbour at ``offsets[k]``, which is ``stencil_offsets(c)[k]`` along
+    the stencil axes and 0 along the batch axes; C-contiguous, it holds the
+    first ``period`` node planes along axis 0, and node plane j uses plane
+    j mod period.  Entries whose neighbour is off the grid are exactly zero,
+    except the periodic axis-0 face couplings of a slab (period < shape[0]).
+    The diagonal (centre row) is positive (coercivity of the discrete form).
     The ``symmetric`` flag is set by the assembler from the coefficient
     family.
     """
@@ -95,10 +104,36 @@ class SparseSystem:
     shape: tuple
     data: np.ndarray
     symmetric: bool
+    stencil_axes: tuple = None
 
     def __post_init__(self):
+        if self.stencil_axes is None:
+            self.stencil_axes = tuple(range(len(self.shape)))
         if not self.data.flags["C_CONTIGUOUS"]:
             raise ConfigError("stencil data must be C-contiguous")
+
+    @cached_property
+    def offsets(self):
+        """(3^c, d) neighbour offset of each stencil row: stencil_offsets(c)
+        along the stencil axes, 0 along the batch axes."""
+        offsets = np.zeros((3 ** len(self.stencil_axes), len(self.shape)), int)
+        offsets[:, list(self.stencil_axes)] = stencil_offsets(
+            len(self.stencil_axes))
+        return offsets
+
+    @property
+    def stencil_dims(self):
+        """Offset dimensions of the stencil layout (3 per stencil axis, 1 per
+        batch axis) that ``data`` takes before its node shape."""
+        return tuple(3 if k in self.stencil_axes else 1
+                     for k in range(len(self.shape)))
+
+    @property
+    def coarse_axes(self):
+        """Stencil axes that coarsen 2:1 (m -> (m - 1) / 2): odd interior
+        count m >= 3.  Batch axes never coarsen."""
+        return tuple(k for k in self.stencil_axes
+                     if self.shape[k] >= 3 and self.shape[k] % 2 == 1)
 
     @property
     def n_rows(self):
@@ -112,7 +147,7 @@ class SparseSystem:
     def nnz(self):
         """On-grid couplings of the coupled rows: prod(m - |o|) per offset o,
         which is prod(3m - 2) when every row couples."""
-        offsets = stencil_offsets(len(self.shape))[list(self.couplings.rows)]
+        offsets = self.offsets[list(self.couplings.rows)]
         return int(np.prod(np.subtract(self.shape, np.abs(offsets)),
                            axis=1).sum())
 
@@ -121,12 +156,12 @@ class SparseSystem:
         """Galerkin coarse levels P^T K P in float32, coarsest last.
 
         Each level is built in float64 from the float64 level above and
-        rounded once; only the rounded levels stay.  Empty when no axis
-        coarsens: the preconditioner is then l1-Jacobi smoothing alone.
+        rounded once; only the rounded levels stay.  Empty when no stencil
+        axis coarsens: the preconditioner is then l1-Jacobi smoothing alone.
         """
         levels = []
         level = self
-        while coarse_axes(level.shape):
+        while level.coarse_axes:
             level = _galerkin(level)
             levels.append(level.single)
         return tuple(levels)
@@ -139,7 +174,8 @@ class SparseSystem:
         data = np.zeros(self.data.shape, dtype=np.float32)
         for k in self.couplings.rows:
             data[k] = self.data[k]
-        copy = SparseSystem(self.shape, data, self.symmetric)
+        copy = SparseSystem(self.shape, data, self.symmetric,
+                            self.stencil_axes)
         copy.couplings = self.couplings    # no scan of the unwritten rows
         return copy
 
@@ -156,7 +192,7 @@ class SparseSystem:
         """
         m, p = self.shape[0], self.period
         plane = self.data.shape[1] // p
-        along = stencil_offsets(len(self.shape))[:, 0]
+        along = self.offsets[:, 0]
 
         def l1(rows, a, b):
             s = np.zeros(b - a, self.data.dtype)
@@ -174,23 +210,24 @@ class SparseSystem:
     @cached_property
     def couplings(self):
         rows = tuple(k for k, row in enumerate(self.data) if row.any())
-        offsets = stencil_offsets(len(self.shape))[list(rows)]
+        offsets = self.offsets[list(rows)]
         return Couplings(rows, tuple(bool(c) for c in offsets.any(axis=0)))
 
     @cached_property
     def shifts(self):
         """Linear index shift of each stencil offset; not increasing on a grid
         with a length-1 axis, like a lift hierarchy's (q, 1, 1).  The last,
-        of offset (1, ..., 1), sums the strides (all >= 1): the largest."""
+        of offset 1 along every stencil axis, sums their strides (all >= 1):
+        the largest."""
         d = len(self.shape)
         strides = [int(np.prod(self.shape[k + 1:])) for k in range(d)]
-        return stencil_offsets(d) @ np.array(strides)
+        return self.offsets @ np.array(strides)
 
     def _on_grid(self):
-        """(3^d, N) mask: the neighbour at offset k of node i is on the grid."""
+        """(3^c, N) mask: the neighbour at offset k of node i is on the grid."""
         inside = np.pad(np.ones(self.shape, dtype=bool), 1)
         views = ([slice(1 + o, 1 + o + m) for o, m in zip(off, self.shape)]
-                 for off in stencil_offsets(len(self.shape)))
+                 for off in self.offsets)
         return np.array([inside[tuple(v)].ravel() for v in views])
 
     def _widen(self, values):
@@ -206,7 +243,7 @@ class SparseSystem:
         if self.period == self.shape[0]:
             return self.data
         box = self._widen(self.data)
-        zero_faces(box.reshape((3,) * len(self.shape) + self.shape), (0,))
+        zero_faces(box.reshape(self.stencil_dims + self.shape), (0,))
         return box
 
     def diagonal(self):
@@ -220,10 +257,11 @@ class SparseSystem:
 
 
 def zero_faces(st, axes):
-    """Set the couplings of ``st``, a stencil view of layout (3,) * d + node
-    shape, that leave the grid along ``axes`` (offset -1 of the first node,
-    +1 of the last) to exactly 0.0: a multiply by a mask could leave -0.0.
-    An axis whose offset dimension was sliced to the centre is skipped."""
+    """Set the couplings of ``st``, a stencil view of layout stencil_dims +
+    node shape (see ``SparseSystem``), that leave the grid along ``axes``
+    (offset -1 of the first node, +1 of the last) to exactly 0.0: a multiply
+    by a mask could leave -0.0.  An axis whose offset dimension has length 1
+    (a batch axis) is skipped."""
     d = st.ndim // 2
     for ax in axes:
         if st.shape[ax] == 3:
@@ -279,40 +317,36 @@ def matvec(system, x):
     return y
 
 
-def coarse_axes(shape):
-    """Axes that coarsen 2:1 (m -> (m - 1) / 2): odd interior count m >= 3."""
-    return tuple(k for k, m in enumerate(shape) if m >= 3 and m % 2 == 1)
-
-
 def _along(ax, index):
     return (slice(None),) * ax + (index,)
 
 
-def prolong(xc, fine_shape):
-    """Linear interpolation P from the coarse grid of ``fine_shape``.
+def prolong(xc, fine):
+    """Linear interpolation P from the coarse grid of the system ``fine``.
 
     Coarse node J of a coarsened axis sits on fine node 2J + 1 and spreads
-    weight 1/2 to fine nodes 2J and 2J + 2.
+    weight 1/2 to fine nodes 2J and 2J + 2; P is the identity along the
+    other axes.
     """
-    axes = coarse_axes(fine_shape)
+    axes = fine.coarse_axes
     x = xc.reshape([(m - 1) // 2 if k in axes else m
-                    for k, m in enumerate(fine_shape)])
+                    for k, m in enumerate(fine.shape)])
     for ax in axes:
         shape = list(x.shape)
-        shape[ax] = fine_shape[ax]
-        fine = np.zeros(shape, x.dtype)
-        fine[_along(ax, slice(1, None, 2))] = x
+        shape[ax] = fine.shape[ax]
+        up = np.zeros(shape, x.dtype)
+        up[_along(ax, slice(1, None, 2))] = x
         half = 0.5 * x
-        fine[_along(ax, slice(0, -1, 2))] += half
-        fine[_along(ax, slice(2, None, 2))] += half
-        x = fine
+        up[_along(ax, slice(0, -1, 2))] += half
+        up[_along(ax, slice(2, None, 2))] += half
+        x = up
     return x.ravel()
 
 
-def restrict(x, fine_shape):
+def restrict(x, fine):
     """P^T: the transpose of prolong, onto the coarse grid."""
-    x = x.reshape(fine_shape)
-    for ax in coarse_axes(fine_shape):
+    x = x.reshape(fine.shape)
+    for ax in fine.coarse_axes:
         x = x[_along(ax, slice(1, None, 2))] + 0.5 * (
             x[_along(ax, slice(0, -1, 2))] + x[_along(ax, slice(2, None, 2))])
     return x.ravel()
@@ -333,20 +367,18 @@ def _galerkin(system):
 
     P is the tensor product of 1D interpolations, so P^T K P is the 1D
     Galerkin product applied along each coarsened axis in turn; the offsets
-    along the other axes ride along unchanged (only the centre offset of an
-    axis that neither couples nor coarsens: the others hold zeros).  A slab
-    with coarse period p_c (p, or p / 2 at even p) below the coarse axis 0
-    gives p_c coarse planes from fine planes 0..2 p_c read modulo p, others
-    are widened first; the coarse level is widened to the full layout."""
+    along the other axes ride along unchanged, and the coarse level keeps
+    the stencil axes (and so the 3^c rows) of the fine one.  A slab with
+    coarse period p_c (p, or p / 2 at even p) below the coarse axis 0 gives
+    p_c coarse planes from fine planes 0..2 p_c read modulo p, others are
+    widened first; the coarse level is widened to the full layout."""
     d = len(system.shape)
-    axes = coarse_axes(system.shape)
-    centre = tuple(slice(None) if c or k in axes else slice(1, 2)
-                   for k, c in enumerate(system.couplings.axes))
+    axes = system.coarse_axes
     p, m = system.period, system.shape[0]
     pc = p if p % 2 else p // 2
     wrap = p < m and 0 in axes and pc < (m - 1) // 2
     st = (system.data if wrap else system.expanded()).reshape(
-        (3,) * d + (-1,) + tuple(system.shape[1:]))[centre]
+        system.stencil_dims + (-1,) + tuple(system.shape[1:]))
     if wrap:
         st = st.take(np.arange(2 * pc + 1) % p, axis=d)
     for ax in axes:
@@ -361,10 +393,10 @@ def _galerkin(system):
         st = np.moveaxis(coarse, (0, 1), (ax, d + ax))
     zero_faces(st, axes[1:] if wrap else axes)
     shape = ((m - 1) // 2,) + st.shape[d + 1:] if wrap else st.shape[d:]
-    full = np.zeros((3,) * d + st.shape[d:])
-    full[centre] = st
-    level = SparseSystem(shape, full.reshape(3 ** d, -1), system.symmetric)
-    return SparseSystem(shape, level.expanded(), system.symmetric)
+    level = SparseSystem(shape, np.ascontiguousarray(st).reshape(
+        len(system.data), -1), system.symmetric, system.stencil_axes)
+    return SparseSystem(shape, level.expanded(), system.symmetric,
+                        system.stencil_axes)
 
 
 def _vcycle(levels, b):
@@ -396,8 +428,7 @@ def _cycle(levels, k, b):
         x += w * (b - matvec(system, x))
     if k + 1 < len(levels):
         r = b - matvec(system, x)
-        x += prolong(_cycle(levels, k + 1, restrict(r, system.shape)),
-                     system.shape)
+        x += prolong(_cycle(levels, k + 1, restrict(r, system)), system)
     for _ in range(SWEEPS):
         x += w * (b - matvec(system, x))
     return x

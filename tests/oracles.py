@@ -22,9 +22,14 @@ def dense_solve(system, rhs):
 
 def validate(system):
     """Check the invariants of a SparseSystem; raises ConfigError on
-    violation."""
+    violation.  It holds 3^c rows over its c stencil axes, and only
+    couplings along those axes can leave the grid (a batch axis has
+    offset 0)."""
     plane = math.prod(system.shape[1:])
-    if (system.data.shape != (3 ** len(system.shape), system.period * plane)
+    axes = system.stencil_axes
+    if (system.data.shape != (3 ** len(axes), system.period * plane)
+            or list(axes) != sorted(set(axes))
+            or not set(axes) <= set(range(len(system.shape)))
             or not 0 < system.period <= system.shape[0]):
         raise ConfigError(f"stencil data shape {system.data.shape} does not "
                           f"fit grid shape {tuple(system.shape)}")

@@ -162,8 +162,7 @@ def test_slab_matrix_separates(family, n):
 @pytest.mark.parametrize("family", ["scalar_trig", "nonsym_skew"])
 @pytest.mark.parametrize("n", [7, 9])
 def test_lifted_column_matches_dense_slab_solve(n, family):
-    # base 7 has q = 3 modes, so multigrid also coarsens the mode axis;
-    # base 9 has q = 4, which it never coarsens
+    # base 7 has an odd q = 3 modes, base 9 an even q = 4
     base = build_grid(2, 1.0, n)
     slab = build_slab(base, 1.0)
     f = make_field(family, 2)
@@ -180,8 +179,8 @@ def test_lifted_column_matches_dense_slab_solve(n, family):
 @pytest.mark.parametrize("n, width, node", [(17, 2.0, (6, 9)),
                                             (11, 5.0, (4, 6))])
 def test_block_residual_is_the_slab_residual(n, width, node, family):
-    # base 11, width 5 has q = 25 odd modes, so multigrid also coarsens the
-    # uncoupled mode axis; it must still converge in under 120 iterations
+    # base 11, width 5 has q = 25 odd modes; the coarsest level (25, 4, 4)
+    # couples, so the cap is 180, yet it converges in under 120 iterations
     base = build_grid(2, 1.0, n)
     slab = build_slab(base, width)
     f = make_field(family, 2)
@@ -191,6 +190,29 @@ def test_block_residual_is_the_slab_residual(n, width, node, family):
     r = _slab_delta(slab, y) - sparse.matvec(assemble_lifted(f, slab), u)
     assert 0.0 < info.residual <= 1e-10 and info.iterations < 120
     assert abs(info.residual - np.linalg.norm(r)) <= 1e-15
+
+
+def test_odd_mode_count_keeps_the_mode_axis_on_every_level(monkeypatch):
+    # base 17, kappa = 4.125: q = 33 odd modes.  Coarsening the mode axis
+    # would mix modes of unlike scale (19 iterations for identity, 24 for
+    # scalar_trig); as a batch axis it keeps length q on every level
+    base = build_grid(2, 1.0, 17)
+    slab = build_slab(base, 4.125)
+    q = len(sine_modes(slab)[0])
+    assert q == 33
+    solve, systems = sparse.solve, []
+
+    def capture(system, rhs, **kwargs):
+        systems.append(system)
+        return solve(system, rhs, **kwargs)
+    monkeypatch.setattr(sparse, "solve", capture)
+    for family in ("identity", "scalar_trig"):
+        _, info = lifted_column(make_field(family, 2), slab,
+                                base.center_index)
+        assert info.iterations <= 8 and info.residual <= 1e-10
+    for blocks in systems:
+        shapes = [lv.shape for lv in (blocks,) + blocks.hierarchy]
+        assert shapes == [(q, 15, 15), (q, 7, 7), (q, 3, 3), (q, 1, 1)]
 
 
 def test_lift_iteration_cap_is_the_base_grids():

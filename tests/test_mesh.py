@@ -241,8 +241,8 @@ def test_memory_guard_charges_the_stored_slab_and_its_copy(monkeypatch):
     monkeypatch.setattr(mesh, "_assemble_axes", _no_assembly)
     with pytest.raises(ConfigError, match="stencil and its float32 copy"):
         assemble(f, g)
-    # the lift block system: 4 modes of 7 x 7 nodes, all 27 rows charged
-    blocks = 27 * 4 * 7 ** 2
+    # the lift block system: 4 modes of 7 x 7 nodes, its 9 stored rows
+    blocks = 9 * 4 * 7 ** 2
     monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * blocks)
     build_slab(build_grid(2, 1.0, 9), 1.0)
     monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * blocks - 1)

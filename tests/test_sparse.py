@@ -252,7 +252,7 @@ def _interpolation(m):
     return P
 
 
-def _lift_blocks(n):
+def _lift_blocks(n, family="scalar_trig"):
     """The block system lift.lifted_column solves for a base grid of n nodes
     and slab half-width 1: q = 4 modes at n = 9, q = 3 at n = 7."""
     grid = build_grid(2, 1.0, n)
@@ -263,7 +263,7 @@ def _lift_blocks(n):
         return solve_blocks(system, rhs, **kwargs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sparse, "solve", capture)
-        lift.lifted_column(make_field("scalar_trig", 2),
+        lift.lifted_column(make_field(family, 2),
                            lift.build_slab(grid, 1.0), grid.center_index)
     return captured[0]
 
@@ -275,13 +275,12 @@ def test_galerkin_levels_match_dense_triple_product():
         for fam in ("scalar_trig", "nonsym_skew"):
             systems.append(assemble(make_field(fam, dim), g))
             assert systems[-1].hierarchy[-1].shape == (1,) * dim
-    # the uncoupled mode axis of the lift block system: at q = 4 it does not
-    # coarsen, so _galerkin keeps only its centre offset; at q = 3 it
-    # coarsens, and the full stencil must go through P^T K P
+    # the mode axis of the lift block system is a batch axis: at q = 4 and
+    # at odd q = 3 alike only the base axes (1, 2) coarsen, and P is the
+    # identity along the modes
     blocks = [_lift_blocks(9), _lift_blocks(7)]
     assert [b.couplings.axes for b in blocks] == [(False, True, True)] * 2
-    assert [sparse.coarse_axes(b.shape) for b in blocks] == [(1, 2),
-                                                              (0, 1, 2)]
+    assert [b.coarse_axes for b in blocks] == [(1, 2)] * 2
     # the float64 _galerkin chain holds the products to 1e-12; the stored
     # hierarchy is that chain rounded once to float32, level by level
     for fine in systems + blocks:
@@ -291,15 +290,16 @@ def test_galerkin_levels_match_dense_triple_product():
             assert stored.shape == coarse.shape
             assert stored.data.tobytes() == \
                 coarse.data.astype(np.float32).tobytes()
-            P = _interpolation(fine.shape[0])
-            for m in fine.shape[1:]:
-                P = np.kron(P, _interpolation(m))
+            P = np.ones((1, 1))
+            for k, m in enumerate(fine.shape):
+                P = np.kron(P, _interpolation(m) if k in fine.stencil_axes
+                            else np.eye(m))
             expected = P.T @ fine.to_dense() @ P
             xc = np.sin(np.arange(coarse.n_rows) + 1.0)
-            np.testing.assert_allclose(sparse.prolong(xc, fine.shape),
+            np.testing.assert_allclose(sparse.prolong(xc, fine),
                                        P @ xc, rtol=1e-14, atol=1e-14)
             x = np.cos(np.arange(fine.n_rows) + 1.0)
-            np.testing.assert_allclose(sparse.restrict(x, fine.shape),
+            np.testing.assert_allclose(sparse.restrict(x, fine),
                                        P.T @ x, rtol=1e-14, atol=1e-14)
             assert validate(coarse) and validate(stored)
             assert coarse.symmetric == stored.symmetric == fine.symmetric
@@ -311,22 +311,54 @@ def test_galerkin_levels_match_dense_triple_product():
 
 def test_coupling_record_of_the_lift_block_system():
     blocks = _lift_blocks(9)
-    assert blocks.shape == (4, 7, 7)
+    assert blocks.shape == (4, 7, 7) and blocks.stencil_axes == (1, 2)
+    # it stores the 9 in-plane offsets of the 27-point stencil, in its
+    # order, and each of them couples
     in_plane = sparse.stencil_offsets(3)[:, 0] == 0
-    assert blocks.couplings.rows == tuple(np.flatnonzero(in_plane))
-    assert len(blocks.couplings.rows) == 9
+    assert np.array_equal(blocks.offsets, sparse.stencil_offsets(3)[in_plane])
+    assert blocks.data.shape == (9, blocks.n_rows)
+    assert blocks.couplings.rows == tuple(range(9))
     assert blocks.couplings.axes == (False, True, True)
     x = np.sin(np.arange(blocks.n_rows) + 1.0)
     ref = blocks.to_dense() @ x
     np.testing.assert_allclose(matvec(blocks, x), ref, rtol=0,
                                atol=1e-14 * np.abs(ref).max())
-    # the coarsest level (4, 1, 1) keeps only its centre row; its shifts
-    # repeat out of order, and the last is still the largest
+    # the coarsest level (4, 1, 1) has 9 rows and couples only its centre
+    # row; its shifts repeat out of order, and the last is still the largest
     coarsest = blocks.hierarchy[-1]
-    assert coarsest.shape == (4, 1, 1)
-    assert coarsest.couplings == ((13,), (False, False, False))
+    assert coarsest.shape == (4, 1, 1) and coarsest.data.shape == (9, 4)
+    assert coarsest.couplings == ((4,), (False, False, False))
     assert np.any(np.diff(coarsest.shifts) <= 0)
     assert coarsest.shifts[-1] == np.abs(coarsest.shifts).max()
+
+
+@pytest.mark.parametrize("family", ["scalar_trig", "nonsym_skew"])
+def test_block_system_is_the_27_row_operator(family):
+    # the 9-row lift block system against the 27-point stencil of the same
+    # rows with zeros at the offsets that leave the base plane
+    blocks = _lift_blocks(9, family)
+    in_plane = sparse.stencil_offsets(3)[:, 0] == 0
+    data = np.zeros((27, blocks.n_rows))
+    data[in_plane] = blocks.data
+    full = SparseSystem(blocks.shape, data, blocks.symmetric)
+    assert validate(blocks) and validate(full)
+    x = np.random.default_rng(4).standard_normal(blocks.n_rows)
+    x[::3] = -0.0
+    assert matvec(blocks, x).tobytes() == matvec(full, x).tobytes()
+    dense = blocks.to_dense()
+    assert np.array_equal(dense, full.to_dense())
+    # block diagonal over the modes, with blocks mu_k K_x + lambda_k M_x
+    grid = build_grid(2, 1.0, 9)
+    _, lam, mu = lift.sine_modes(lift.build_slab(grid, 1.0))
+    k_x = assemble(make_field(family, 2), grid).to_dense()
+    m_x = lift.mass_2d(grid).to_dense()
+    assert np.array_equal(dense, np.kron(np.diag(mu), k_x)
+                          + np.kron(np.diag(lam), m_x))
+    # q = 4 coarsens no mode axis in either layout: the same solve
+    rhs = np.sin(np.arange(blocks.n_rows) + 1.0)
+    u, info = solve(blocks, rhs)
+    u27, info27 = solve(full, rhs)
+    assert u.tobytes() == u27.tobytes() and info == info27
 
 
 def test_matvec_skipping_a_zero_row_is_bitwise_the_full_loop():
@@ -355,24 +387,30 @@ def _full_loop(system, x):
     return y
 
 
-def _random_stencil(shape, rng):
-    """A nonsymmetric stencil with random entries at every on-grid coupling."""
-    system = SparseSystem(shape, np.zeros((3 ** len(shape), np.prod(shape))),
-                          False)
+def _random_stencil(shape, rng, stencil_axes=None):
+    """A nonsymmetric stencil with random entries at every on-grid coupling
+    along ``stencil_axes`` (default: every axis)."""
+    c = len(shape) if stencil_axes is None else len(stencil_axes)
+    system = SparseSystem(shape, np.zeros((3 ** c, np.prod(shape))), False,
+                          stencil_axes)
     data = rng.standard_normal(system.data.shape) * system._on_grid()
     centre = (len(data) - 1) // 2
     data[centre] = 1.0 + np.abs(data[centre])
-    return SparseSystem(shape, data, False)
+    return SparseSystem(shape, data, False, stencil_axes)
 
 
 @pytest.mark.parametrize("block", [1, 3, 100])
 def test_blocked_matvec_seams_are_bitwise_the_full_loop(monkeypatch, block):
     rng = np.random.default_rng(5)
     blocks = _lift_blocks(9)
-    # the lift coarsest level (4, 1, 1) has a length-1 axis, and its shifts
-    # repeat out of order
+    # the 9-row lift block system and its coarsest level (4, 1, 1), which
+    # has length-1 axes and shifts that repeat out of order, in the 9-row
+    # layout and as a 27-point stencil
+    coarsest = blocks.hierarchy[-1]
+    assert blocks.data.shape[0] == 9
     systems = [_random_stencil((7, 7, 7), rng), blocks,
-               _random_stencil(blocks.hierarchy[-1].shape, rng)]
+               _random_stencil(coarsest.shape, rng, coarsest.stencil_axes),
+               _random_stencil(coarsest.shape, rng)]
     # 1: a seam after every node; 3 and 100: a partial last block on each
     monkeypatch.setattr(sparse, "_BLOCK", block)
     for system in systems:
@@ -579,8 +617,8 @@ def test_vcycle_is_float32_and_krylov_float64(monkeypatch, family):
         return y
 
     def transfer(fn):
-        def recorded(x, fine_shape):
-            y = fn(x, fine_shape)
+        def recorded(x, fine):
+            y = fn(x, fine)
             transfers.append((x.dtype, y.dtype))
             return y
         return recorded
@@ -700,14 +738,11 @@ def test_zero_faces_leaves_exactly_the_on_grid_couplings(shape):
 
 
 def test_zero_faces_skips_an_axis_sliced_to_the_centre():
-    # the lift block's layout: axis 0 couples nothing, so its offset
-    # dimension is sliced to the centre and its rows +-1 stay untouched
+    # the lift block's layout: axis 0 is a batch axis, its offset dimension
+    # has length 1, and no face along it is zeroed
     shape = (4, 3, 2)
-    data = 1.0 + np.random.default_rng(6).random((27,) + shape)
-    view = data.reshape((3, 3, 3) + shape)[1:2]
-    sparse.zero_faces(view, range(3))
-    on_grid = SparseSystem(shape, data.reshape(27, -1), False)._on_grid()
-    centre = sparse.stencil_offsets(3)[:, 0] == 0
-    assert np.array_equal(data.reshape(27, -1)[centre] != 0.0,
-                          on_grid[centre])
-    assert np.all(data[~centre] > 1.0)
+    system = SparseSystem(shape, np.zeros((9, 24)), False, (1, 2))
+    assert system.stencil_dims == (1, 3, 3)
+    data = 1.0 + np.random.default_rng(6).random((9,) + shape)
+    sparse.zero_faces(data.reshape(system.stencil_dims + shape), range(3))
+    assert np.array_equal(data.reshape(9, -1) != 0.0, system._on_grid())
