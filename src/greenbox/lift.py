@@ -59,8 +59,11 @@ def build_slab(base, t_half_width):
     slab = SlabGrid(base=base, t_half_width=float(t_half_width))
     if slab.n_layers < 5:
         raise ConfigError("slab needs at least 5 layers")
-    # lifted_column's block system: 9 rows over (n_layers - 1) / 2 modes
-    mesh.check_stencil_fits(2, (slab.n_layers - 1) // 2 * (base.n - 2) ** 2)
+    # lifted_column's block system over (n_layers - 1) / 2 modes, in the 5
+    # rows of a symmetric field, the fewest any field stores; lifted_column
+    # charges the rows its field stores before it allocates them
+    mesh.check_stencil_fits(sparse.stored_rows(2, True),
+                            (slab.n_layers - 1) // 2 * (base.n - 2) ** 2)
     return slab
 
 
@@ -92,11 +95,12 @@ def sine_modes(slab):
 
 
 def mass_2d(base):
-    """Q1 mass matrix M_1 (x) M_1 over the interior nodes of a 2D grid."""
+    """Q1 mass matrix M_1 (x) M_1 over the interior nodes of a 2D grid, in
+    the 5 stored rows of a symmetric stencil."""
     m1 = np.repeat(base.h * np.array([[1.0], [4.0], [1.0]]) / 6.0, base.n - 2, 1)
-    sparse.zero_faces(m1, (0,))
+    sparse.zero_faces(m1, sparse.stencil_offsets(1), (0,))
     return sparse.SparseSystem((base.n - 2,) * 2, np.einsum(
-        "ai,bj->abij", m1, m1).reshape(9, -1), True)
+        "ai,bj->abij", m1, m1).reshape(9, -1)[4:].copy(), True)
 
 
 def lifted_column(field, slab, y, *, system=None, rel_tol=1e-10):
@@ -106,7 +110,8 @@ def lifted_column(field, slab, y, *, system=None, rel_tol=1e-10):
     stiffness K_x (assembled when None).  Since K = K_x (x) M_t + M_x (x) K_t,
     the q odd modes solve (mu_k K_x + lambda_k M_x) u_k = phi_k(0) e_y as one
     block system of shape (q, *base interior).  Its mode axis is a batch
-    axis: the system stores only the 9 stencil rows of the base axes, never
+    axis: the system stores only the stencil rows of the base axes (the 5
+    of a symmetric K_x, else all 9, with M_x unfolded to match), never
     coarsens the modes into each other, and has the base grid's iteration
     cap.  Its residual is the slab residual (the sine transform is
     orthonormal).  Returns the full slab values (zero faces) and SolveInfo."""
@@ -116,12 +121,15 @@ def lifted_column(field, slab, y, *, system=None, rel_tol=1e-10):
     q, ishape = len(phi), system.shape
     rhs = np.multiply.outer(phi[:, (slab.n_layers - 3) // 2],
                             mesh.load_delta(slab.base, y))
-    stiffness, mass = system.expanded(), mass_2d(slab.base).data
-    data = np.empty((9, q, system.n_rows))    # x-offset, mode, node
-    for k in range(9):
+    stiffness, mass = system.expanded(), mass_2d(slab.base)
+    mass = mass.data if system.symmetric else mass.full_rows()
+    rows = len(stiffness)
+    mesh.check_stencil_fits(rows, q * system.n_rows)
+    data = np.empty((rows, q, system.n_rows))    # x-offset, mode, node
+    for k in range(rows):
         np.multiply.outer(mu, stiffness[k], out=data[k])
         data[k] += np.multiply.outer(lam, mass[k])
-    blocks = sparse.SparseSystem((q,) + ishape, data.reshape(9, -1),
+    blocks = sparse.SparseSystem((q,) + ishape, data.reshape(rows, -1),
                                  system.symmetric, stencil_axes=(1, 2))
     u, info = sparse.solve(blocks, rhs.ravel(), rel_tol=rel_tol)
     full = np.zeros(slab.shape)

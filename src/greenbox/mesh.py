@@ -5,7 +5,8 @@ boundary; the discrete operator is assembled from the weak form
 K_ij = int (grad phi_i)^T A grad phi_j with multilinear nodal basis
 functions and tensor 2-point Gauss quadrature.  Boundary nodes are
 eliminated: each pair of local element corners adds a shifted sub-box of
-element entries into one row of the 3^d interior-node stencil.
+element entries into one row of the 3^d interior-node stencil (for a
+symmetric A, only the rows a symmetric ``SparseSystem`` stores).
 
 A is Z^d-periodic, so when p h is an integer the stencil row of an interior
 node depends only on its index mod p: ``assemble`` tiles the rows of one
@@ -140,11 +141,11 @@ def physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_stencil_fits(d, nodes):
-    """Reject a stencil of 3^d rows (d its stencil axes) over ``nodes``
-    stored nodes whose float64 data and float32 copy (12 bytes per entry)
-    exceed physical memory."""
-    need = 12 * 3**d * nodes
+def check_stencil_fits(rows, nodes):
+    """Reject a stencil of ``rows`` stored rows (``sparse.stored_rows``)
+    over ``nodes`` stored nodes whose float64 data and float32 copy (12
+    bytes per entry) exceed physical memory."""
+    need = 12 * rows * nodes
     have = physical_memory()
     if need > have:
         raise ConfigError(f"the stencil and its float32 copy need "
@@ -186,8 +187,9 @@ def _assemble_axes(matrix_fn, axes, h, symmetric):
     come in batches of whole layers along axis 0.  Corner c_i of a batch's
     elements is a shifted sub-box of the nodes, so local corners (i, j) add
     one element sub-box into the stencil row of offset c_j - c_i, clipped to
-    the elements with both corners interior.  The fixed order (batch, i, j)
-    leaves the output dependent on nothing but the batch size.
+    the elements with both corners interior; when ``symmetric``, only the
+    rows from the centre on are stored and filled.  The fixed order
+    (batch, i, j) leaves the output dependent on nothing but the batch size.
     """
     d = len(axes)
     eshape = tuple(len(a) - 1 for a in axes)
@@ -196,13 +198,14 @@ def _assemble_axes(matrix_fn, axes, h, symmetric):
     m = corners.shape[0]
     xi, gref = _reference_rules(d)
     nq = xi.shape[0]
-    off_id = {tuple(o): k for k, o in enumerate(stencil_offsets(d))}
+    rows = sparse.stored_rows(d, symmetric)
+    off_id = {tuple(o): k for k, o in enumerate(stencil_offsets(d)[-rows:])}
 
     # quadrature contraction tensor: P[(q,k,l), (i,j)]
     pairs = np.einsum("qki,qlj->qklij", gref, gref).reshape(nq * d * d, m * m)
     scale = h ** (d - 2) / (2**d)
 
-    data = np.zeros((3**d,) + ishape)
+    data = np.zeros((rows,) + ishape)
     step = max(1, _BATCH // math.prod(eshape[1:]))
     for a in range(0, eshape[0], step):
         start = np.array([a] + [0] * (d - 1))
@@ -216,17 +219,20 @@ def _assemble_axes(matrix_fn, axes, h, symmetric):
         elem *= scale
         for i, ci in enumerate(corners):
             for j, cj in enumerate(corners):
+                k = off_id.get(tuple(cj - ci))
+                if k is None:
+                    continue
                 # elements e of the batch with e + c_i and e + c_j interior
                 lo = np.maximum(1 - np.minimum(ci, cj), start)
                 hi = np.minimum(np.array(eshape) - np.maximum(ci, cj), stop)
                 if lo[0] >= hi[0]:
                     continue
-                rows = tuple(slice(l + c - 1, u + c - 1)
-                             for l, u, c in zip(lo, hi, ci))
+                box = tuple(slice(l + c - 1, u + c - 1)
+                            for l, u, c in zip(lo, hi, ci))
                 els = tuple(slice(l - s, u - s) for l, u, s in zip(lo, hi, start))
-                data[(off_id[tuple(cj - ci)],) + rows] += elem[els + (i * m + j,)]
+                data[(k,) + box] += elem[els + (i * m + j,)]
 
-    return SparseSystem(ishape, data.reshape(3**d, -1), symmetric)
+    return SparseSystem(ishape, data.reshape(rows, -1), symmetric)
 
 
 def cell_period(grid):
@@ -245,10 +251,11 @@ def cell_stencil(field, grid):
     frequency is not Z^d-periodic and is rejected.  The cell is
     ``grid.axis[:p + 4]`` along every axis: its interior rows 1..p see only
     cell nodes, so they are complete periodic rows.  Rolled by one node,
-    they come back as ``rows`` of shape (3^d, p^d), laid out as
-    ``SparseSystem.data`` on a (p,) * d grid, and box interior node j takes
-    row j mod p on every axis.  When no p <= n - 4 exists, p is None and
-    ``rows`` is the stencil of the whole box, of shape (3^d, (n - 2)^d).
+    they come back as ``rows`` of shape (r, p^d), laid out as
+    ``SparseSystem.data`` on a (p,) * d grid (r = ``sparse.stored_rows``),
+    and box interior node j takes row j mod p on every axis.  When no
+    p <= n - 4 exists, p is None and ``rows`` is the stencil of the whole
+    box, of shape (r, (n - 2)^d).
     """
     if field.dim != grid.dim:
         raise ConfigError(
@@ -262,9 +269,10 @@ def cell_stencil(field, grid):
                             [axis] * d, grid.h, fields.is_symmetric(field))
     if p is None:
         return None, system.data
-    rows = system.data.reshape((3**d,) + system.shape)
+    rows = system.data.reshape((len(system.data),) + system.shape)
     cell = rows[(slice(None),) + (slice(1, p + 1),) * d]
-    return p, np.roll(cell, 1, axis=tuple(range(1, d + 1))).reshape(3**d, -1)
+    return p, np.roll(cell, 1, axis=tuple(range(1, d + 1))).reshape(
+        len(rows), -1)
 
 
 def assemble(field, grid):
@@ -279,18 +287,18 @@ def assemble(field, grid):
     """
     d, m, p = grid.dim, grid.n - 2, cell_period(grid)
     q = m if p is None else sparse.slab_planes(p, (m,) * d)
-    check_stencil_fits(d, q * m ** (d - 1))
-    p, rows = cell_stencil(field, grid)
     symmetric = fields.is_symmetric(field)
+    check_stencil_fits(sparse.stored_rows(d, symmetric), q * m ** (d - 1))
+    p, rows = cell_stencil(field, grid)
     if p is None:
         return SparseSystem((m,) * d, rows, symmetric)
     # one gather into C order: interior node j reads cell row j mod p
     tile = [np.arange(q) % p] + [np.arange(m) % p] * (d - 1)
     cell_of = np.ravel_multi_index(np.ix_(*tile), (p,) * d).ravel()
-    data = rows.take(cell_of, axis=1)
-    sparse.zero_faces(data.reshape((3,) * d + (q,) + (m,) * (d - 1)),
-                      range(0 if q == m else 1, d))
-    return SparseSystem((m,) * d, data, symmetric)
+    system = SparseSystem((m,) * d, rows.take(cell_of, axis=1), symmetric)
+    sparse.zero_faces(system.data.reshape((len(rows), q) + (m,) * (d - 1)),
+                      system.offsets, range(0 if q == m else 1, d))
+    return system
 
 
 def load_delta(grid, y):

@@ -26,16 +26,23 @@ e the exponent of max|b|, before rounding it to float32 and undoes that on
 return; both scalings are exact, and a tiny residual (1e-46 at rel_tol =
 1e-300) does not flush to zero in float32.  matvec, prolong, restrict and
 the smoother weights follow the dtype of the data they are given.
+A symmetric stencil stores its centre row and the rows after it in offset
+order, (3^c + 1) / 2 of the 3^c: row o of node i is K_{i, i+o}, and its
+transpose K_{i+o, i} is the coupling of row -o, so matvec, the smoother
+weights, ``nnz`` and ``to_dense`` apply each non-centre row twice, and the
+operator is exactly symmetric.  A nonsymmetric stencil stores all 3^c rows.
 A stencil stores rows only over the axes it couples; the other axes are
 batch axes (the mode axis of the lift block system), which are never padded
-or coarsened, so a batch of uncoupled problems stores and cycles only its
-3^c rows.  Matvecs skip stencil rows that are zero everywhere; those are
+or coarsened, so a batch of uncoupled problems stores and cycles only the
+rows of its c coupled axes.  Matvecs skip stencil rows that are zero everywhere; those are
 now only the face-zeroed rows of a level one node long along a stencil axis,
 like the lift block system's coarsest level (q, 1, 1).
 A matvec walks the nodes in blocks of _BLOCK, each block running the coupled
 rows in offset order, so a block's slices stay in a core's L2 cache while
 every node sees the same operations in the same order as in one sweep: the
-output is bitwise that of the unblocked loop, signed zeros included.
+output is bitwise that of the unblocked loop, signed zeros included.  A
+symmetric row's transpose is gathered, y_i += K_{i-o, i} x_{i-o}, so a
+block writes only its own nodes.
 Matvecs and inner products run in numpy's own fixed-order loops, never in
 BLAS, so runs with identical inputs are bitwise reproducible at any BLAS
 thread count.
@@ -48,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -83,6 +90,12 @@ def stencil_offsets(d):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
 
 
+def stored_rows(c, symmetric):
+    """Stencil rows a SparseSystem over c stencil axes stores: the centre
+    and the (3^c - 1) / 2 rows after it when symmetric, else all 3^c."""
+    return (3 ** c + 1) // 2 if symmetric else 3 ** c
+
+
 @dataclass
 class SparseSystem:
     """3^c-point stencil operator over the nodes of a grid of ``shape``.
@@ -91,14 +104,16 @@ class SparseSystem:
     every axis); the other axes are batch axes, along which nodes are
     uncoupled: a batch axis holds no stencil rows, needs no padding and
     never coarsens.  ``data[k, i]`` couples node i (C order) to its
-    neighbour at ``offsets[k]``, which is ``stencil_offsets(c)[k]`` along
-    the stencil axes and 0 along the batch axes; C-contiguous, it holds the
-    first ``period`` node planes along axis 0, and node plane j uses plane
-    j mod period.  Entries whose neighbour is off the grid are exactly zero,
-    except the periodic axis-0 face couplings of a slab (period < shape[0]).
-    The diagonal (centre row) is positive (coercivity of the discrete form).
-    The ``symmetric`` flag is set by the assembler from the coefficient
-    family.
+    neighbour at ``offsets[k]``, which is a row of ``stencil_offsets(c)``
+    along the stencil axes and 0 along the batch axes: all 3^c of them, or,
+    when ``symmetric``, the centre and the rows after it, whose transposes
+    are the rows before it (``stored_rows``).  C-contiguous, ``data`` holds
+    the first ``period`` node planes along axis 0, and node plane j uses
+    plane j mod period.  Entries whose neighbour is off the grid are exactly
+    zero, except the periodic axis-0 face couplings of a slab
+    (period < shape[0]).  The diagonal (centre row) is positive (coercivity
+    of the discrete form).  The ``symmetric`` flag is set by the assembler
+    from the coefficient family.
     """
 
     shape: tuple
@@ -111,20 +126,32 @@ class SparseSystem:
             self.stencil_axes = tuple(range(len(self.shape)))
         if not self.data.flags["C_CONTIGUOUS"]:
             raise ConfigError("stencil data must be C-contiguous")
+        rows = stored_rows(len(self.stencil_axes), self.symmetric)
+        if self.data.ndim != 2 or len(self.data) != rows:
+            raise ConfigError(f"a {'' if self.symmetric else 'non'}symmetric "
+                              f"stencil stores {rows} rows, got "
+                              f"{self.data.shape}")
 
     @cached_property
     def offsets(self):
-        """(3^c, d) neighbour offset of each stencil row: stencil_offsets(c)
-        along the stencil axes, 0 along the batch axes."""
-        offsets = np.zeros((3 ** len(self.stencil_axes), len(self.shape)), int)
-        offsets[:, list(self.stencil_axes)] = stencil_offsets(
-            len(self.stencil_axes))
+        """(rows, d) neighbour offset of each stored stencil row: the last
+        ``len(data)`` rows of stencil_offsets(c) along the stencil axes, 0
+        along the batch axes."""
+        c = len(self.stencil_axes)
+        offsets = np.zeros((len(self.data), len(self.shape)), int)
+        offsets[:, list(self.stencil_axes)] = stencil_offsets(c)[
+            3 ** c - len(self.data):]
         return offsets
 
     @property
+    def centre(self):
+        """Stored row of the diagonal: the first of a symmetric stencil."""
+        return 0 if self.symmetric else (len(self.data) - 1) // 2
+
+    @property
     def stencil_dims(self):
-        """Offset dimensions of the stencil layout (3 per stencil axis, 1 per
-        batch axis) that ``data`` takes before its node shape."""
+        """Offset dimensions of the layout of all 3^c stencil rows (3 per
+        stencil axis, 1 per batch axis) before their node shape."""
         return tuple(3 if k in self.stencil_axes else 1
                      for k in range(len(self.shape)))
 
@@ -146,10 +173,12 @@ class SparseSystem:
     @cached_property
     def nnz(self):
         """On-grid couplings of the coupled rows: prod(m - |o|) per offset o,
-        which is prod(3m - 2) when every row couples."""
+        twice for a symmetric non-centre row (o and -o), which is
+        prod(3m - 2) when every row couples."""
         offsets = self.offsets[list(self.couplings.rows)]
-        return int(np.prod(np.subtract(self.shape, np.abs(offsets)),
-                           axis=1).sum())
+        times = 1 + (self.symmetric & offsets.any(axis=1))
+        return int((np.prod(np.subtract(self.shape, np.abs(offsets)), axis=1)
+                    * times).sum())
 
     @cached_property
     def hierarchy(self):
@@ -185,26 +214,39 @@ class SparseSystem:
         dtype, the sum over the on-grid couplings j of node i (Baker,
         Falgout, Kolev & Yang, SIAM J. Sci. Comput. 33, 2011).
 
-        Summed on the stored rows, coupled row by coupled row in offset
-        order; node planes 0 and m - 1 are summed again without the rows that
-        leave the grid along axis 0, so a slab's periodic face couplings are
+        Summed on the stored planes, coupled row by coupled row in offset
+        order, each non-centre row of a symmetric stencil twice: |K_{i,i+o}|
+        and its transpose |K_{i-o,i}|, read modulo the stored nodes.  Node
+        planes 0 and m - 1 are summed again without the couplings that leave
+        the grid along axis 0, so a slab's periodic face couplings are
         skipped, and the weights are bitwise those of the full layout.
         """
-        m, p = self.shape[0], self.period
-        plane = self.data.shape[1] // p
-        along = self.offsets[:, 0]
+        m, p, size = self.shape[0], self.period, self.data.shape[1]
+        plane = size // p
+        along, shifts = self.offsets[:, 0], self.shifts
 
-        def l1(rows, a, b):
+        def nodes(k, a, b):
+            """|row k| at the nodes a..b-1 (b - a <= size), modulo size."""
+            a, n = a % size, b - a
+            row = self.data[k]
+            return np.abs(row[a:a + n] if a + n <= size else np.concatenate(
+                (row[a:], row[:a + n - size])))
+
+        def l1(j0, j1, keep):
+            """Sums over node planes j0..j1-1 of the couplings that go
+            ``along`` axis 0 by a step for which keep(step) holds."""
+            a, b = j0 * plane, j1 * plane
             s = np.zeros(b - a, self.data.dtype)
-            for k in rows:
-                s += np.abs(self.data[k, a:b])
+            for k in self.couplings.rows:
+                if keep(along[k]):
+                    s += nodes(k, a, b)
+                if self.symmetric and k != self.centre and keep(-along[k]):
+                    s += nodes(k, a - shifts[k], b - shifts[k])
             return s
-        rows = self.couplings.rows
-        w = self._widen(l1(rows, 0, p * plane))
+        w = self._widen(l1(0, p, lambda step: True))
         for j in {0, m - 1}:
-            a = j % p * plane
             w[j * plane:(j + 1) * plane] = l1(
-                [k for k in rows if 0 <= j + along[k] < m], a, a + plane)
+                j, j + 1, lambda step: 0 <= j + step < m)
         return THETA / w
 
     @cached_property
@@ -212,6 +254,11 @@ class SparseSystem:
         rows = tuple(k for k, row in enumerate(self.data) if row.any())
         offsets = self.offsets[list(rows)]
         return Couplings(rows, tuple(bool(c) for c in offsets.any(axis=0)))
+
+    @cached_property
+    def _steps(self):
+        """matvec's multiply-adds (``_matvec_steps``) per block size."""
+        return {}
 
     @cached_property
     def shifts(self):
@@ -224,7 +271,8 @@ class SparseSystem:
         return self.offsets @ np.array(strides)
 
     def _on_grid(self):
-        """(3^c, N) mask: the neighbour at offset k of node i is on the grid."""
+        """(rows, N) mask: the neighbour at offset k of node i is on the
+        grid."""
         inside = np.pad(np.ones(self.shape, dtype=bool), 1)
         views = ([slice(1 + o, 1 + o + m) for o, m in zip(off, self.shape)]
                  for off in self.offsets)
@@ -243,34 +291,60 @@ class SparseSystem:
         if self.period == self.shape[0]:
             return self.data
         box = self._widen(self.data)
-        zero_faces(box.reshape(self.stencil_dims + self.shape), (0,))
+        zero_faces(box.reshape((len(box),) + self.shape), self.offsets, (0,))
         return box
 
+    def full_rows(self):
+        """All 3^c rows in the full layout: ``expanded()``, with the rows
+        before the centre of a symmetric stencil rebuilt (``_unfold``)."""
+        box = self.expanded()
+        if not self.symmetric:
+            return box
+        return _unfold(box.reshape((len(box),) + self.shape),
+                       self.offsets).reshape(2 * len(box) - 1, -1)
+
     def diagonal(self):
-        return self._widen(self.data[(len(self.data) - 1) // 2])
+        return self._widen(self.data[self.centre])
 
     def to_dense(self):
         dense = np.zeros((self.n_rows, self.n_rows))
         k, i = np.nonzero(self._on_grid())
-        dense[i, i + self.shifts[k]] = self.expanded()[k, i]
+        j, values = i + self.shifts[k], self.expanded()[k, i]
+        dense[i, j] = values
+        if self.symmetric:
+            dense[j, i] = values
         return dense
 
 
-def zero_faces(st, axes):
-    """Set the couplings of ``st``, a stencil view of layout stencil_dims +
-    node shape (see ``SparseSystem``), that leave the grid along ``axes``
-    (offset -1 of the first node, +1 of the last) to exactly 0.0: a multiply
-    by a mask could leave -0.0.  An axis whose offset dimension has length 1
-    (a batch axis) is skipped."""
-    d = st.ndim // 2
+def zero_faces(st, offsets, axes):
+    """Set the couplings of ``st``, stencil rows of shape (len(offsets),) +
+    node shape with the neighbour offsets ``offsets``, that leave the grid
+    along ``axes`` (offset -1 of the first node, +1 of the last) to exactly
+    0.0: a multiply by a mask could leave -0.0.  Along a batch axis every
+    offset is 0 and nothing is zeroed."""
     for ax in axes:
-        if st.shape[ax] == 3:
-            face = np.moveaxis(st, (ax, d + ax), (0, 1))
-            face[0, 0] = 0.0
-            face[2, -1] = 0.0
+        for step, end in ((-1, 0), (1, -1)):
+            st[(offsets[:, ax] == step,) + _along(ax, end)] = 0.0
 
 
-@lru_cache(maxsize=None)
+def _unfold(st, offsets):
+    """All 2 r - 1 stencil rows, in offset order, of the r rows ``st`` of a
+    symmetric stencil (shape (r,) + node shape, offsets ``offsets``, the
+    centre first): row -o of node i is the transpose K_{i, i-o} = row o of
+    node i - o, and 0.0 where i - o is off the grid (``zero_faces``)."""
+    r = len(st)
+    full = np.empty((2 * r - 1,) + st.shape[1:], st.dtype)
+    full[r - 1:] = st
+    for k in range(1, r):
+        src = tuple(slice(max(-o, 0), m - max(o, 0))
+                    for o, m in zip(offsets[k], st.shape[1:]))
+        dst = tuple(slice(max(o, 0), m + min(o, 0))
+                    for o, m in zip(offsets[k], st.shape[1:]))
+        full[(r - 1 - k,) + dst] = st[(k,) + src]
+    zero_faces(full[:r - 1], -offsets[:0:-1], range(st.ndim - 1))
+    return full
+
+
 def _blocks(n, size, block):
     """(start, stop) of the matvec blocks of n nodes whose stencil repeats
     every ``size`` nodes: ``block`` nodes at a time, restarted at each seam."""
@@ -293,7 +367,8 @@ def slab_planes(p, shape):
 
 def matvec(system, x):
     """y = K x: a shifted multiply-add per coupled row, in offset order, over
-    a zero-padded x, one block (at most _BLOCK nodes of one slab) at a time.
+    a zero-padded x, one block (at most _BLOCK nodes of one slab) at a time
+    (``_matvec_steps``).
 
     A read that wraps past a grid face meets an exactly-zero stencil entry.
     """
@@ -301,20 +376,46 @@ def matvec(system, x):
     n = system.n_rows
     if x.shape != (n,):
         raise ConfigError(f"matvec length mismatch: {x.shape} vs {n}")
-    shifts = system.shifts.tolist()
-    pad = shifts[-1]
+    steps = system._steps.get(_BLOCK)
+    if steps is None:
+        steps = system._steps[_BLOCK] = _matvec_steps(system, _BLOCK)
+    pad = int(system.shifts[-1])
     dtype = np.result_type(system.data, x)
     xp = np.zeros(n + 2 * pad, dtype)
     xp[pad:pad + n] = x
     y = np.zeros(n, dtype)
-    size = system.data.shape[1]
-    for a, b in _blocks(n, size, _BLOCK):
-        yb, db, xb = y[a:b], system.data[:, a % size:a % size + b - a], xp[a:]
-        m = b - a
-        for k in system.couplings.rows:
-            s = pad + shifts[k]
-            yb += db[k] * xb[s:s + m]
+    for ys, row, xs in steps:
+        y[ys] += row * xp[xs]
     return y
+
+
+def _matvec_steps(system, block):
+    """The multiply-adds y[ys] += row * xp[xs] of ``matvec`` in order, with
+    ``row`` a view of the stencil and xp x padded by the largest shift: per
+    block of at most ``block`` nodes of one slab, per coupled row k in
+    offset order, y_i += K_{i,i+o} x_{i+o}, then for a non-centre row of a
+    symmetric stencil its transpose y_i += K_{i-o,i} x_{i-o}, K_{i-o,i} read
+    at node i - o modulo the stored nodes (in at most two pieces); nodes
+    i < o, whose x_{i-o} is padding, get nothing."""
+    n, size = system.n_rows, system.data.shape[1]
+    shifts = system.shifts.tolist()
+    pad = shifts[-1]
+    steps = []
+    for a, b in _blocks(n, size, block):
+        for k in system.couplings.rows:
+            s = shifts[k]
+            steps.append((slice(a, b), system.data[k, a % size:a % size + b - a],
+                          slice(pad + a + s, pad + b + s)))
+            if system.symmetric and k != system.centre:
+                lo = max(a - s, 0)    # sources t = i - o of the block's nodes
+                cut = min(b - s, (lo // size + 1) * size)
+                for t0, t1 in ((lo, cut), (cut, b - s)):
+                    if t0 < t1:
+                        d0 = t0 % size
+                        steps.append((slice(t0 + s, t1 + s),
+                                      system.data[k, d0:d0 + t1 - t0],
+                                      slice(pad + t0, pad + t1)))
+    return tuple(steps)
 
 
 def _along(ax, index):
@@ -368,19 +469,28 @@ def _galerkin(system):
     P is the tensor product of 1D interpolations, so P^T K P is the 1D
     Galerkin product applied along each coarsened axis in turn; the offsets
     along the other axes ride along unchanged, and the coarse level keeps
-    the stencil axes (and so the 3^c rows) of the fine one.  A slab with
-    coarse period p_c (p, or p / 2 at even p) below the coarse axis 0 gives
-    p_c coarse planes from fine planes 0..2 p_c read modulo p, others are
+    the stencil axes and the layout (all 3^c rows, or the symmetric half) of
+    the fine one.  A symmetric stencil is unfolded to all 3^c rows on the
+    planes read, and the coarse one keeps its forward half, so it is exactly
+    symmetric.  A slab with coarse period p_c (p, or p / 2 at even p) below
+    the coarse axis 0 gives p_c coarse planes from fine planes 0..2 p_c read
+    modulo p (and plane -1, whose rows unfold onto plane 0), others are
     widened first; the coarse level is widened to the full layout."""
     d = len(system.shape)
     axes = system.coarse_axes
     p, m = system.period, system.shape[0]
     pc = p if p % 2 else p // 2
     wrap = p < m and 0 in axes and pc < (m - 1) // 2
-    st = (system.data if wrap else system.expanded()).reshape(
-        system.stencil_dims + (-1,) + tuple(system.shape[1:]))
+    kept = len(system.data)
     if wrap:
-        st = st.take(np.arange(2 * pc + 1) % p, axis=d)
+        planes = np.arange(-1 if system.symmetric else 0, 2 * pc + 1) % p
+        st = system.data.reshape((kept, p) + tuple(system.shape[1:])).take(
+            planes, axis=1)
+        if system.symmetric:
+            st = _unfold(st, system.offsets)[:, 1:]
+    else:
+        st = system.full_rows().reshape((-1,) + tuple(system.shape))
+    st = st.reshape(system.stencil_dims + st.shape[1:])
     for ax in axes:
         fine = np.moveaxis(st, (ax, d + ax), (0, 1))
         mc = (fine.shape[1] - 1) // 2
@@ -391,10 +501,13 @@ def _galerkin(system):
                 for A, w_col in _COLUMN_WEIGHTS[s + a]:
                     coarse[A + 1] += (w_row * w_col) * rows[a + 1]
         st = np.moveaxis(coarse, (0, 1), (ax, d + ax))
-    zero_faces(st, axes[1:] if wrap else axes)
-    shape = ((m - 1) // 2,) + st.shape[d + 1:] if wrap else st.shape[d:]
-    level = SparseSystem(shape, np.ascontiguousarray(st).reshape(
-        len(system.data), -1), system.symmetric, system.stencil_axes)
+    nodes = st.shape[d:]
+    st = st.reshape((-1,) + nodes)
+    data = np.ascontiguousarray(st[len(st) - kept:])
+    zero_faces(data, system.offsets, axes[1:] if wrap else axes)
+    shape = ((m - 1) // 2,) + nodes[1:] if wrap else nodes
+    level = SparseSystem(shape, data.reshape(kept, -1), system.symmetric,
+                         system.stencil_axes)
     return SparseSystem(shape, level.expanded(), system.symmetric,
                         system.stencil_axes)
 
@@ -421,7 +534,7 @@ def _cycle(levels, k, b):
     """
     system = levels[k]
     if system.n_rows == 1:
-        return b / system.data[(len(system.data) - 1) // 2]
+        return b / system.data[system.centre]
     w = system.smoother
     x = w * b
     for _ in range(SWEEPS - 1):
@@ -529,11 +642,12 @@ def solve(system, rhs, rel_tol=1e-10, max_iter=None):
     with the part of the problem that multigrid leaves to smoothing.  Raises
     ConvergenceError (carrying the true residual and the recursive residual
     norm of every iteration, over all restarts) when max_iter is exhausted.
-    A non-finite rhs raises ConfigError.  The solve runs on rhs 2^-e, e the
-    exponent of max|rhs|, and scales u, the residual and the history back by
-    2^e: both scalings are exact, so the result is bitwise that of the
-    unscaled solve wherever that one neither underflows nor overflows, and
-    an rhs near either end of the float64 range solves like any other.  When
+    An rhs not of shape (n_rows,), or not finite, raises ConfigError.  The
+    solve runs on rhs 2^-e, e the exponent of max|rhs|, and scales u, the
+    residual and the history back by 2^e: both scalings are exact, so the
+    result is bitwise that of the unscaled solve wherever that one neither
+    underflows nor overflows, and an rhs near either end of the float64
+    range solves like any other.  When
     scaling back makes a normal entry of u subnormal or zero, u itself is
     re-checked (one more matvec, in the scaled domain) and ConvergenceError
     is raised if it misses the bound, as every u does at an rhs of 5e-324.
@@ -541,6 +655,9 @@ def solve(system, rhs, rel_tol=1e-10, max_iter=None):
     if not 0.0 < rel_tol < 1.0:
         raise ConfigError("rel_tol must lie in (0, 1)")
     rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (system.n_rows,):
+        raise ConfigError(f"rhs shape {rhs.shape} does not match "
+                          f"{system.n_rows} unknowns")
     peak = float(np.abs(rhs).max())    # nan or inf for any such entry
     if not math.isfinite(peak):
         raise ConfigError("rhs must be finite")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from greenbox import ConfigError
+from greenbox.sparse import stored_rows
 
 DENSE_CAP = 4096
 
@@ -22,12 +23,13 @@ def dense_solve(system, rhs):
 
 def validate(system):
     """Check the invariants of a SparseSystem; raises ConfigError on
-    violation.  It holds 3^c rows over its c stencil axes, and only
-    couplings along those axes can leave the grid (a batch axis has
-    offset 0)."""
+    violation.  It holds 3^c rows over its c stencil axes, or the
+    (3^c + 1) / 2 from the centre on when symmetric, and only couplings
+    along those axes can leave the grid (a batch axis has offset 0)."""
     plane = math.prod(system.shape[1:])
     axes = system.stencil_axes
-    if (system.data.shape != (3 ** len(axes), system.period * plane)
+    rows = stored_rows(len(axes), system.symmetric)
+    if (system.data.shape != (rows, system.period * plane)
             or list(axes) != sorted(set(axes))
             or not set(axes) <= set(range(len(system.shape)))
             or not 0 < system.period <= system.shape[0]):

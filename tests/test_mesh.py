@@ -6,7 +6,7 @@ import pytest
 from greenbox import (ConfigError, SourcePlacementError, assemble, build_grid,
                       expand_interior, fields, gradient_field, load_delta,
                       make_field, mesh, transpose_field)
-from greenbox.lift import assemble_lifted, build_slab
+from greenbox.lift import assemble_lifted, build_slab, lifted_column
 from greenbox.sparse import stencil_offsets
 from oracles import validate
 
@@ -98,7 +98,8 @@ def _laplace_stencil(n, R):
     ii = int(np.flatnonzero(load_delta(g, g.center_index))[0])
     m = n - 2
     shifts = stencil_offsets(2) @ np.array([m, 1])
-    row = {int(s): K.data[k, ii] for k, s in enumerate(shifts)}
+    dense = K.to_dense()    # the rows before the centre are transposes
+    row = {int(s): dense[ii, ii + s] for s in shifts}
     return row, m
 
 
@@ -221,8 +222,8 @@ def _no_assembly(*args, **kwargs):
 
 
 def test_oversized_grid_and_slab_rejected_before_allocation(monkeypatch):
-    # 1999^3 unknowns: even a slab of 1000 of the 1999 planes needs 27 * 12
-    # bytes per stored node, about 0.9 TiB for the stencil and its copy
+    # 1999^3 unknowns: even a slab of 1000 of the 1999 planes needs 14 * 12
+    # bytes per stored node, about 0.6 TiB for the stencil and its copy
     monkeypatch.setattr(mesh, "_assemble_axes", _no_assembly)
     with pytest.raises(ConfigError, match="stencil"):
         assemble(make_field("identity", 3), build_grid(3, 1.0, 2001))
@@ -231,8 +232,25 @@ def test_oversized_grid_and_slab_rejected_before_allocation(monkeypatch):
 
 
 def test_memory_guard_charges_the_stored_slab_and_its_copy(monkeypatch):
+    # the lift block system: 4 modes of 7 x 7 nodes in the 5 rows of a
+    # symmetric field, which build_slab charges and lifted_column stores;
+    # a nonsymmetric field's 9 rows are charged before they are allocated
+    blocks = 5 * 4 * 7 ** 2
+    base = build_grid(2, 1.0, 9)
+    y = base.center_index
+    monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * blocks)
+    slab = build_slab(base, 1.0)
+    lifted_column(make_field("scalar_trig", 2), slab, y)
+    with pytest.raises(ConfigError, match="stencil"):
+        lifted_column(make_field("nonsym_skew", 2), slab, y)
+    monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * 9 * 4 * 7 ** 2)
+    lifted_column(make_field("nonsym_skew", 2), slab, y)
+    monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * blocks - 1)
+    with pytest.raises(ConfigError, match="stencil"):
+        build_slab(base, 1.0)
+    # the 14 rows of a symmetric 27-point stencil on 16 of the 63 planes
     g, f = build_grid(3, 2.0, 65), make_field("scalar_trig", 3)
-    stored = 27 * 16 * 63 ** 2    # 16 of the 63 node planes
+    stored = 14 * 16 * 63 ** 2
     assert 8 * 27 * 63 ** 3 > 12 * stored    # the full stencil would not fit
     monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * stored)
     K = assemble(f, g)
@@ -241,13 +259,6 @@ def test_memory_guard_charges_the_stored_slab_and_its_copy(monkeypatch):
     monkeypatch.setattr(mesh, "_assemble_axes", _no_assembly)
     with pytest.raises(ConfigError, match="stencil and its float32 copy"):
         assemble(f, g)
-    # the lift block system: 4 modes of 7 x 7 nodes, its 9 stored rows
-    blocks = 9 * 4 * 7 ** 2
-    monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * blocks)
-    build_slab(build_grid(2, 1.0, 9), 1.0)
-    monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * blocks - 1)
-    with pytest.raises(ConfigError, match="stencil"):
-        build_slab(build_grid(2, 1.0, 9), 1.0)
 
 
 def _lifted(field):
@@ -330,7 +341,8 @@ def test_cell_stencil_period(dim, R, n, period):
     p, rows = mesh.cell_stencil(make_field("scalar_trig", dim),
                                 build_grid(dim, R, n))
     assert p == period
-    assert rows.shape == (3**dim, (period or n - 2) ** dim)
+    # the (3^d + 1) / 2 rows of a symmetric stencil
+    assert rows.shape == ((3**dim + 1) // 2, (period or n - 2) ** dim)
 
 
 def test_assemble_rejects_a_scalar_trig_field_of_period_two():

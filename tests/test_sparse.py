@@ -14,7 +14,8 @@ from oracles import dense_solve, validate
 
 
 def from_dense(mat, symmetric=None):
-    """1D 3-point stencil system of a tridiagonal matrix."""
+    """1D 3-point stencil system of a tridiagonal matrix: rows (-1, 0, 1),
+    or (0, 1) when symmetric."""
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
     assert np.array_equal(np.triu(np.tril(mat, 1), -1), mat), "not tridiagonal"
@@ -24,15 +25,17 @@ def from_dense(mat, symmetric=None):
     data[2, :-1] = np.diag(mat, 1)
     if symmetric is None:
         symmetric = bool(np.array_equal(mat, mat.T))
-    return SparseSystem(shape=(n,), data=data, symmetric=symmetric)
+    return SparseSystem(shape=(n,), data=data[1:] if symmetric else data,
+                        symmetric=symmetric)
 
 
 TWO_BY_TWO = [[2.0, -1.0], [-1.0, 2.0]]
 
 
 def unsymmetric(K):
-    """The same stencil with the symmetric flag cleared: solved by BiCGStab."""
-    return SparseSystem(K.shape, K.data, False)
+    """The same operator with all its rows and the symmetric flag cleared:
+    solved by BiCGStab."""
+    return SparseSystem(K.shape, K.full_rows(), False, K.stencil_axes)
 
 
 def test_matvec_identity():
@@ -51,6 +54,18 @@ def test_matvec_length_mismatch():
     K = from_dense(TWO_BY_TWO)
     with pytest.raises(ConfigError):
         matvec(K, np.zeros(3))
+
+
+def test_solve_rejects_an_rhs_of_the_wrong_shape():
+    # 225 unknowns: a 5-vector used to return u = 0 with SolveInfo(0, 0.0)
+    # (zeros) or fail in a numpy broadcast (ones), a (15, 15) grid in einsum
+    g = build_grid(2, 1.0, 17)
+    K = assemble(make_field("identity", 2), g)
+    assert K.n_rows == 225
+    for rhs in (np.zeros(5), np.ones(5), np.ones((15, 15))):
+        with pytest.raises(ConfigError, match="shape"):
+            solve(K, rhs)
+    assert "hierarchy" not in K.__dict__    # rejected before anything ran
 
 
 def test_cg_hand_elimination():
@@ -312,33 +327,36 @@ def test_galerkin_levels_match_dense_triple_product():
 def test_coupling_record_of_the_lift_block_system():
     blocks = _lift_blocks(9)
     assert blocks.shape == (4, 7, 7) and blocks.stencil_axes == (1, 2)
-    # it stores the 9 in-plane offsets of the 27-point stencil, in its
-    # order, and each of them couples
-    in_plane = sparse.stencil_offsets(3)[:, 0] == 0
-    assert np.array_equal(blocks.offsets, sparse.stencil_offsets(3)[in_plane])
-    assert blocks.data.shape == (9, blocks.n_rows)
-    assert blocks.couplings.rows == tuple(range(9))
+    # it stores the 5 in-plane offsets of the 27-point stencil from its
+    # centre on, in its order, and each of them couples
+    forward = sparse.stencil_offsets(3)[13:]
+    assert np.array_equal(blocks.offsets, forward[forward[:, 0] == 0])
+    assert blocks.data.shape == (5, blocks.n_rows)
+    assert blocks.couplings.rows == tuple(range(5))
     assert blocks.couplings.axes == (False, True, True)
     x = np.sin(np.arange(blocks.n_rows) + 1.0)
     ref = blocks.to_dense() @ x
     np.testing.assert_allclose(matvec(blocks, x), ref, rtol=0,
                                atol=1e-14 * np.abs(ref).max())
-    # the coarsest level (4, 1, 1) has 9 rows and couples only its centre
+    # the coarsest level (4, 1, 1) has 5 rows and couples only its centre
     # row; its shifts repeat out of order, and the last is still the largest
     coarsest = blocks.hierarchy[-1]
-    assert coarsest.shape == (4, 1, 1) and coarsest.data.shape == (9, 4)
-    assert coarsest.couplings == ((4,), (False, False, False))
+    assert coarsest.shape == (4, 1, 1) and coarsest.data.shape == (5, 4)
+    assert coarsest.couplings == ((0,), (False, False, False))
     assert np.any(np.diff(coarsest.shifts) <= 0)
     assert coarsest.shifts[-1] == np.abs(coarsest.shifts).max()
 
 
 @pytest.mark.parametrize("family", ["scalar_trig", "nonsym_skew"])
 def test_block_system_is_the_27_row_operator(family):
-    # the 9-row lift block system against the 27-point stencil of the same
-    # rows with zeros at the offsets that leave the base plane
+    # the lift block system (5 rows if symmetric, else 9) against the
+    # 27-point stencil (14 or 27 rows) of the same rows with zeros at the
+    # offsets that leave the base plane
     blocks = _lift_blocks(9, family)
-    in_plane = sparse.stencil_offsets(3)[:, 0] == 0
-    data = np.zeros((27, blocks.n_rows))
+    rows = sparse.stored_rows(3, blocks.symmetric)
+    assert len(blocks.data) == sparse.stored_rows(2, blocks.symmetric)
+    in_plane = sparse.stencil_offsets(3)[27 - rows:, 0] == 0
+    data = np.zeros((rows, blocks.n_rows))
     data[in_plane] = blocks.data
     full = SparseSystem(blocks.shape, data, blocks.symmetric)
     assert validate(blocks) and validate(full)
@@ -364,7 +382,7 @@ def test_block_system_is_the_27_row_operator(family):
 def test_matvec_skipping_a_zero_row_is_bitwise_the_full_loop():
     rng = np.random.default_rng(3)
     g = build_grid(2, 1.0, 9)
-    K = assemble(make_field("identity", 2), g)
+    K = unsymmetric(assemble(make_field("identity", 2), g))
     data = rng.standard_normal(K.data.shape) * K._on_grid()
     data[4] = 1.0 + np.abs(data[4])
     data[2] = 0.0  # offset (-1, 1) couples nothing
@@ -377,40 +395,50 @@ def test_matvec_skipping_a_zero_row_is_bitwise_the_full_loop():
 
 
 def _full_loop(system, x):
-    """The unblocked matvec over every stencil row, zero or not."""
+    """The unblocked matvec over every stencil row, zero or not, in the full
+    layout; a non-centre row of a symmetric stencil is followed by its
+    transpose, y_i += K_{i-o,i} x_{i-o} for the nodes with i - o >= 0."""
     n, pad = system.n_rows, system.shifts[-1]
     xp = np.zeros(n + 2 * pad)
     xp[pad:pad + n] = x
     y = np.zeros(n)
-    for row, s in zip(system.data, system.shifts):
+    for k, (row, s) in enumerate(zip(system.expanded(), system.shifts)):
         y += row * xp[pad + s:pad + s + n]
+        if system.symmetric and k != system.centre:
+            lo, hi = max(s, 0), min(n, n + s)
+            y[lo:hi] += row[lo - s:hi - s] * x[lo - s:hi - s]
     return y
 
 
-def _random_stencil(shape, rng, stencil_axes=None):
-    """A nonsymmetric stencil with random entries at every on-grid coupling
-    along ``stencil_axes`` (default: every axis)."""
+def _random_stencil(shape, rng, stencil_axes=None, symmetric=False):
+    """A stencil with random entries at every on-grid coupling along
+    ``stencil_axes`` (default: every axis) of its stored rows: nonsymmetric,
+    or symmetric with the transposes of the rows after the centre."""
     c = len(shape) if stencil_axes is None else len(stencil_axes)
-    system = SparseSystem(shape, np.zeros((3 ** c, np.prod(shape))), False,
-                          stencil_axes)
+    system = SparseSystem(shape, np.zeros((sparse.stored_rows(c, symmetric),
+                                           np.prod(shape))),
+                          symmetric, stencil_axes)
     data = rng.standard_normal(system.data.shape) * system._on_grid()
-    centre = (len(data) - 1) // 2
+    centre = system.centre
     data[centre] = 1.0 + np.abs(data[centre])
-    return SparseSystem(shape, data, False, stencil_axes)
+    return SparseSystem(shape, data, symmetric, stencil_axes)
 
 
 @pytest.mark.parametrize("block", [1, 3, 100])
 def test_blocked_matvec_seams_are_bitwise_the_full_loop(monkeypatch, block):
     rng = np.random.default_rng(5)
     blocks = _lift_blocks(9)
-    # the 9-row lift block system and its coarsest level (4, 1, 1), which
+    # the 5-row lift block system and its coarsest level (4, 1, 1), which
     # has length-1 axes and shifts that repeat out of order, in the 9-row
-    # layout and as a 27-point stencil
+    # layout and as a 27-point stencil, nonsymmetric and symmetric
     coarsest = blocks.hierarchy[-1]
-    assert blocks.data.shape[0] == 9
+    assert blocks.data.shape[0] == 5
     systems = [_random_stencil((7, 7, 7), rng), blocks,
-               _random_stencil(coarsest.shape, rng, coarsest.stencil_axes),
-               _random_stencil(coarsest.shape, rng)]
+               _random_stencil((7, 7, 7), rng, symmetric=True)]
+    for symmetric in (False, True):
+        systems += [_random_stencil(coarsest.shape, rng,
+                                    coarsest.stencil_axes, symmetric),
+                    _random_stencil(coarsest.shape, rng, None, symmetric)]
     # 1: a seam after every node; 3 and 100: a partial last block on each
     monkeypatch.setattr(sparse, "_BLOCK", block)
     for system in systems:
@@ -471,11 +499,79 @@ def test_slab_is_bitwise_the_full_layout(monkeypatch, dim, R, n, family,
     monkeypatch.setattr(sparse, "_BLOCK", block)
     slab = assemble(f, g)
     assert slab.period < slab.shape[0]
-    assert slab.data.shape == (3 ** dim, block)
+    assert slab.data.shape == (sparse.stored_rows(dim, full.symmetric), block)
     assert validate(slab)
     assert slab.expanded().tobytes() == full.data.tobytes()
     # every coarse level keeps the full layout: its period is compared too
     assert _layout_results(slab, g) == expected
+
+
+def _check_half_layout(K, monkeypatch):
+    """A symmetric system in the half layout: exactly symmetric, its matvec
+    is its dense matrix's, bitwise the unblocked loop at every block seam,
+    and its smoother is THETA over the row sums of |K|."""
+    assert K.symmetric and validate(K)
+    assert len(K.data) == (3 ** len(K.stencil_axes) + 1) // 2
+    dense = K.to_dense()
+    assert np.array_equal(dense, dense.T)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(K.n_rows)
+    x[::3] = -0.0
+    ref = dense @ x
+    assert np.abs(matvec(K, x) - ref).max() <= 1e-14 * np.abs(ref).max()
+    np.testing.assert_allclose(K.smoother,
+                               sparse.THETA / np.abs(dense).sum(axis=1),
+                               rtol=1e-14)
+    # 1: a seam after every node; 3 and 100: transposes that read across a
+    # block's start, and across a slab seam into the slab before it
+    for block in (1, 3, 100):
+        monkeypatch.setattr(sparse, "_BLOCK", block)
+        assert matvec(K, x).tobytes() == _full_loop(K, x).tobytes()
+
+
+@pytest.mark.parametrize("family", ["identity", "scalar_trig", "diag_aniso"])
+@pytest.mark.parametrize("dim,n,block", [(2, 17, None), (2, 17, 8 * 15),
+                                         (3, 9, None), (3, 9, 4 * 7 ** 2)])
+def test_symmetric_stencil_stores_the_centre_and_forward_rows(
+        monkeypatch, family, dim, n, block):
+    # a block of p node planes makes assemble store a p-plane slab
+    g = build_grid(dim, 1.0, n)
+    if block:
+        monkeypatch.setattr(sparse, "_BLOCK", block)
+    K = assemble(make_field(family, dim), g)
+    assert (K.period < K.shape[0]) == bool(block)
+    assert np.array_equal(K.offsets, sparse.stencil_offsets(dim)[
+        (3 ** dim - 1) // 2:])
+    _check_half_layout(K, monkeypatch)
+    for level in K.hierarchy:
+        assert len(level.data) == len(K.data) and level.symmetric
+
+
+@pytest.mark.parametrize("family", ["identity", "scalar_trig"])
+def test_lift_block_system_stores_the_centre_and_forward_rows(monkeypatch,
+                                                               family):
+    blocks = _lift_blocks(9, family)
+    assert blocks.data.shape == (5, blocks.n_rows)
+    _check_half_layout(blocks, monkeypatch)
+
+
+def test_row_count_follows_the_symmetric_flag():
+    # a nonsymmetric system keeps all 3^c rows at every level
+    for dim, n in ((2, 17), (3, 9)):
+        g = build_grid(dim, 1.0, n)
+        K = assemble(make_field("nonsym_skew", dim), g)
+        S = assemble(make_field("scalar_trig", dim), g)
+        assert not K.symmetric and len(K.data) == 3 ** dim
+        assert [len(lv.data) for lv in K.hierarchy] == \
+            [3 ** dim] * len(K.hierarchy)
+        with pytest.raises(ConfigError, match="stores"):
+            SparseSystem(K.shape, K.data, True)
+        with pytest.raises(ConfigError, match="stores"):
+            SparseSystem(S.shape, S.data, False)
+    blocks = _lift_blocks(9, "nonsym_skew")
+    assert not blocks.symmetric and blocks.data.shape == (9, blocks.n_rows)
+    with pytest.raises(ConfigError, match="stores"):
+        SparseSystem(blocks.shape, blocks.data, True, blocks.stencil_axes)
 
 
 def test_lift_column_on_a_slab_base_is_bitwise(monkeypatch):
@@ -496,7 +592,8 @@ def test_lift_column_on_a_slab_base_is_bitwise(monkeypatch):
 def test_production_column_stores_a_16_plane_slab():
     K = assemble(make_field("scalar_trig", 3), build_grid(3, 2.0, 65))
     assert K.period == 16
-    assert K.data.shape == (27, 63504)  # 16 planes of 63 x 63 nodes
+    # the 14 rows of a symmetric 27-point stencil, 16 planes of 63 x 63 nodes
+    assert K.data.shape == (14, 63504)
 
 
 @pytest.mark.parametrize("p,shape,planes", [
@@ -518,8 +615,8 @@ def test_non_contiguous_stencil_data_rejected(monkeypatch):
     f = make_field("scalar_trig", 3)
     p, rows = mesh.cell_stencil(f, g)
     tile = np.arange(7) % p
-    strided = rows.reshape((27,) + (p,) * 3)[
-        (slice(None),) + np.ix_(tile, tile, tile)].reshape(27, -1)
+    strided = rows.reshape((len(rows),) + (p,) * 3)[
+        (slice(None),) + np.ix_(tile, tile, tile)].reshape(len(rows), -1)
     assert not strided.flags["C_CONTIGUOUS"]
     with pytest.raises(ConfigError, match="C-contiguous"):
         SparseSystem((7, 7, 7), strided, True)
@@ -535,7 +632,9 @@ def test_nnz_counts_the_on_grid_couplings_of_the_coupled_rows():
     systems = [assemble(make_field("scalar_trig", 3), g3),
                assemble(make_field("nonsym_skew", 2), g2), _lift_blocks(9)]
     for system in systems:
-        on_grid = system._on_grid()[list(system.couplings.rows)]
+        # a symmetric stencil's couplings are those of all its 3^c rows
+        full = unsymmetric(system)
+        on_grid = full._on_grid()[list(full.couplings.rows)]
         assert system.nnz == on_grid.sum()
     # every row of an assembled stencil couples; the lift block system's
     # 9 in-plane rows bill 4 modes of 7 x 7 nodes
@@ -705,8 +804,8 @@ def test_dense_solve_singular():
 
 def test_dense_solve_size_cap():
     n = 4097
-    data = np.zeros((3, n))
-    data[1] = 1.0  # the identity, without a dense 4097 x 4097 copy
+    data = np.zeros((2, n))
+    data[0] = 1.0  # the identity, without a dense 4097 x 4097 copy
     big = SparseSystem(shape=(n,), data=data, symmetric=True)
     with pytest.raises(ConfigError):
         dense_solve(big, np.zeros(n))
@@ -720,7 +819,7 @@ def test_stencil_invariants_on_assembled_systems():
             assert validate(K)
             assert np.all(K.diagonal() > 0.0)
             off_grid = K.data.copy()
-            off_grid[0, 0] = 1.0  # node 0's (-1, ..., -1) neighbour
+            off_grid[-1, -1] = 1.0  # the last node's (1, ..., 1) neighbour
             for broken in (K.data[:, 1:], off_grid, -K.data):
                 with pytest.raises(ConfigError):
                     validate(SparseSystem(K.shape, broken, K.symmetric))
@@ -729,20 +828,27 @@ def test_stencil_invariants_on_assembled_systems():
 @pytest.mark.parametrize("shape", [(1,), (2,), (5,), (1, 4), (2, 3),
                                    (3, 1, 2), (2, 2, 5)])
 def test_zero_faces_leaves_exactly_the_on_grid_couplings(shape):
+    # in the 3^d rows of a nonsymmetric stencil and the half of a symmetric
     d = len(shape)
-    data = 1.0 + np.random.default_rng(5).random((3 ** d,) + shape)
-    sparse.zero_faces(data.reshape((3,) * d + shape), range(d))
-    on_grid = SparseSystem(shape, data.reshape(3 ** d, -1), False)._on_grid()
-    assert np.array_equal(data.reshape(3 ** d, -1) != 0.0, on_grid)
-    assert not np.signbit(data).any()
+    for symmetric in (False, True):
+        rows = sparse.stored_rows(d, symmetric)
+        data = 1.0 + np.random.default_rng(5).random((rows,) + shape)
+        system = SparseSystem(shape, data.reshape(rows, -1), symmetric)
+        sparse.zero_faces(data, system.offsets, range(d))
+        assert np.array_equal(data.reshape(rows, -1) != 0.0,
+                              system._on_grid())
+        assert not np.signbit(data).any()
 
 
 def test_zero_faces_skips_an_axis_sliced_to_the_centre():
-    # the lift block's layout: axis 0 is a batch axis, its offset dimension
-    # has length 1, and no face along it is zeroed
+    # the lift block's layout: axis 0 is a batch axis, every stored offset
+    # is 0 along it, and no face along it is zeroed
     shape = (4, 3, 2)
-    system = SparseSystem(shape, np.zeros((9, 24)), False, (1, 2))
-    assert system.stencil_dims == (1, 3, 3)
-    data = 1.0 + np.random.default_rng(6).random((9,) + shape)
-    sparse.zero_faces(data.reshape(system.stencil_dims + shape), range(3))
-    assert np.array_equal(data.reshape(9, -1) != 0.0, system._on_grid())
+    for rows, symmetric in ((9, False), (5, True)):
+        system = SparseSystem(shape, np.zeros((rows, 24)), symmetric, (1, 2))
+        assert system.stencil_dims == (1, 3, 3)
+        assert not system.offsets[:, 0].any()
+        data = 1.0 + np.random.default_rng(6).random((rows,) + shape)
+        sparse.zero_faces(data, system.offsets, range(3))
+        assert np.array_equal(data.reshape(rows, -1) != 0.0,
+                              system._on_grid())
