@@ -109,28 +109,24 @@ def lifted_column(field, slab, y, *, system=None, rel_tol=1e-10):
     ``y`` is a full node index of the base grid and ``system`` the base
     stiffness K_x (assembled when None).  Since K = K_x (x) M_t + M_x (x) K_t,
     the q odd modes solve (mu_k K_x + lambda_k M_x) u_k = phi_k(0) e_y as one
-    block system of shape (q, *base interior).  Its mode axis is a batch
-    axis: the system stores only the stencil rows of the base axes (the 5
-    of a symmetric K_x, else all 9, with M_x unfolded to match), never
-    coarsens the modes into each other, and has the base grid's iteration
-    cap.  Its residual is the slab residual (the sine transform is
-    orthonormal).  Returns the full slab values (zero faces) and SolveInfo."""
+    block system of shape (q, *base interior), ``sparse.batch_system`` of
+    the terms (mu, K_x) and (lambda, M_x), once the memory guard has passed
+    its rows.  Its mode axis is a batch axis: the system stores only the
+    stencil rows of the base axes (the 5 of a symmetric K_x, else all 9,
+    with M_x unfolded to match), never coarsens the modes into each other,
+    and has the base grid's iteration cap; its Galerkin levels are summed
+    from those of K_x and M_x.  Its residual is the slab residual (the sine
+    transform is orthonormal).  Returns the full slab values (zero faces)
+    and SolveInfo."""
     if system is None:
         system = mesh.assemble(field, slab.base)
     phi, lam, mu = sine_modes(slab)
     q, ishape = len(phi), system.shape
+    mesh.check_stencil_fits(sparse.stored_rows(2, system.symmetric),
+                            q * system.n_rows)
     rhs = np.multiply.outer(phi[:, (slab.n_layers - 3) // 2],
                             mesh.load_delta(slab.base, y))
-    stiffness, mass = system.expanded(), mass_2d(slab.base)
-    mass = mass.data if system.symmetric else mass.full_rows()
-    rows = len(stiffness)
-    mesh.check_stencil_fits(rows, q * system.n_rows)
-    data = np.empty((rows, q, system.n_rows))    # x-offset, mode, node
-    for k in range(rows):
-        np.multiply.outer(mu, stiffness[k], out=data[k])
-        data[k] += np.multiply.outer(lam, mass[k])
-    blocks = sparse.SparseSystem((q,) + ishape, data.reshape(rows, -1),
-                                 system.symmetric, stencil_axes=(1, 2))
+    blocks = sparse.batch_system(((mu, system), (lam, mass_2d(slab.base))))
     u, info = sparse.solve(blocks, rhs.ravel(), rel_tol=rel_tol)
     full = np.zeros(slab.shape)
     full[1:-1, 1:-1, 1:-1] = np.einsum("kab,kj->abj",

@@ -34,7 +34,10 @@ operator is exactly symmetric.  A nonsymmetric stencil stores all 3^c rows.
 A stencil stores rows only over the axes it couples; the other axes are
 batch axes (the mode axis of the lift block system), which are never padded
 or coarsened, so a batch of uncoupled problems stores and cycles only the
-rows of its c coupled axes.  Matvecs skip stencil rows that are zero everywhere; those are
+rows of its c coupled axes.  ``batch_system`` builds such a system,
+sum_t diag(w_t) (x) F_t, and sums each of its Galerkin levels from the
+float64 levels of its factors F_t, so no Galerkin product runs over the
+batch.  Matvecs skip stencil rows that are zero everywhere; those are
 now only the face-zeroed rows of a level one node long along a stencil axis,
 like the lift block system's coarsest level (q, 1, 1).
 A matvec walks the nodes in blocks of _BLOCK, each block running the coupled
@@ -182,18 +185,13 @@ class SparseSystem:
 
     @cached_property
     def hierarchy(self):
-        """Galerkin coarse levels P^T K P in float32, coarsest last.
-
-        Each level is built in float64 from the float64 level above and
-        rounded once; only the rounded levels stay.  Empty when no stencil
-        axis coarsens: the preconditioner is then l1-Jacobi smoothing alone.
+        """Galerkin coarse levels P^T K P in float32, coarsest last: the
+        float64 levels of ``_chain``, each rounded once; only the rounded
+        levels stay.  Empty when no stencil axis coarsens: the
+        preconditioner is then l1-Jacobi smoothing alone.  ``batch_system``
+        sets it on the systems it builds from the chains of their factors.
         """
-        levels = []
-        level = self
-        while level.coarse_axes:
-            level = _galerkin(level)
-            levels.append(level.single)
-        return tuple(levels)
+        return tuple(level.single for level in _chain(self))
 
     @cached_property
     def single(self):
@@ -463,6 +461,16 @@ _COLUMN_WEIGHTS = {-2: ((-1, 1.0),), -1: ((-1, 0.5), (0, 0.5)),
                    0: ((0, 1.0),), 1: ((0, 0.5), (1, 0.5)), 2: ((1, 1.0),)}
 
 
+def _off_centre(dims):
+    """Slices over offset dimensions ``dims`` (3 per stencil axis, 1 per
+    batch axis) that tile the offsets other than 0: none when no dimension
+    is a stencil axis."""
+    zero = tuple(slice(n // 2, n // 2 + 1) for n in dims)
+    rest = len(dims) - 1
+    return [zero[:i] + (slice(0, 3, 2),) + (slice(None),) * (rest - i)
+            for i, n in enumerate(dims) if n == 3]
+
+
 def _galerkin(system):
     """The coarse stencil P^T K P, one coarsened axis at a time.
 
@@ -472,7 +480,12 @@ def _galerkin(system):
     the stencil axes and the layout (all 3^c rows, or the symmetric half) of
     the fine one.  A symmetric stencil is unfolded to all 3^c rows on the
     planes read, and the coarse one keeps its forward half, so it is exactly
-    symmetric.  A slab with coarse period p_c (p, or p / 2 at even p) below
+    symmetric.  Of such a level, a row at coarse offset A = -1 along the
+    axis being coarsened is formed only where its offsets along the axes
+    before it are not all 0 (so never along the first stencil axis): where
+    they are, it lies before the centre in C order and is dropped.  Each
+    kept row sees the same operations in the same order as when every row
+    is formed.  A slab with coarse period p_c (p, or p / 2 at even p) below
     the coarse axis 0 gives p_c coarse planes from fine planes 0..2 p_c read
     modulo p (and plane -1, whose rows unfold onto plane 0), others are
     widened first; the coarse level is widened to the full layout."""
@@ -495,11 +508,16 @@ def _galerkin(system):
         fine = np.moveaxis(st, (ax, d + ax), (0, 1))
         mc = (fine.shape[1] - 1) // 2
         coarse = np.zeros((3, mc) + fine.shape[2:])
+        parts = {-1: [()], 0: [()], 1: [()]}
+        if system.symmetric:
+            parts[-1] = _off_centre(fine.shape[2:2 + ax])
         for s, w_row in _ROW_WEIGHTS:
             rows = fine[:, 1 + s:2 * mc + 1 + s:2]
             for a in (-1, 0, 1):
                 for A, w_col in _COLUMN_WEIGHTS[s + a]:
-                    coarse[A + 1] += (w_row * w_col) * rows[a + 1]
+                    for part in parts[A]:
+                        at = (slice(None),) + part
+                        coarse[A + 1][at] += (w_row * w_col) * rows[a + 1][at]
         st = np.moveaxis(coarse, (0, 1), (ax, d + ax))
     nodes = st.shape[d:]
     st = st.reshape((-1,) + nodes)
@@ -510,6 +528,46 @@ def _galerkin(system):
                          system.stencil_axes)
     return SparseSystem(shape, level.expanded(), system.symmetric,
                         system.stencil_axes)
+
+
+def _chain(system):
+    """The float64 Galerkin levels below ``system``, coarsest last, each
+    ``_galerkin`` of the level above."""
+    while system.coarse_axes:
+        system = _galerkin(system)
+        yield system
+
+
+def batch_system(terms):
+    """The block system sum_t diag(w_t) (x) F_t, with its hierarchy.
+
+    ``terms`` are pairs (w_t, F_t) of q weights and a SparseSystem; all F_t
+    couple every axis of one grid, and the system has shape (q,) + grid
+    with batch axis 0.  Row k of block b is sum_t w_t[b] F_t[k] in term
+    order: the factors' stored rows when all are symmetric, else all 3^c
+    (``full_rows``).  P coarsens only the factor axes, so each Galerkin
+    level is the same sum over the float64 ``_chain`` levels of the
+    factors, rounded once to float32; no product runs over the q blocks,
+    whose chain would give the same levels up to round-off.
+    """
+    weights, factors = zip(*terms)
+    q, symmetric = len(weights[0]), all(f.symmetric for f in factors)
+
+    def combine(levels):    # levels in the full layout
+        rows = [f.data if symmetric else f.full_rows() for f in levels]
+        data = np.empty((len(rows[0]), q, levels[0].n_rows))
+        for k, row in enumerate(data):
+            np.multiply.outer(weights[0], rows[0][k], out=row)
+            for w, r in zip(weights[1:], rows[1:]):
+                row += np.multiply.outer(w, r[k])
+        shape = (q,) + tuple(levels[0].shape)
+        return SparseSystem(shape, data.reshape(len(data), -1), symmetric,
+                            tuple(range(1, len(shape))))
+    full = [SparseSystem(f.shape, f.expanded(), f.symmetric) for f in factors]
+    system = combine(full)
+    system.hierarchy = tuple(combine(levels).single
+                             for levels in zip(*map(_chain, full)))
+    return system
 
 
 def _vcycle(levels, b):

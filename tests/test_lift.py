@@ -6,7 +6,7 @@ from greenbox import (ConfigError, ConvergenceError, assemble, build_grid,
 from greenbox.lift import (arctan_kernel, assemble_lifted, build_slab,
                            compare_lift, integrate_t, lifted_column, mass_2d,
                            sine_modes)
-from oracles import dense_solve, validate
+from oracles import dense_solve, galerkin_all_rows, validate
 
 FAMILIES = ("identity", "scalar_trig", "nonsym_skew")
 
@@ -226,3 +226,51 @@ def test_lift_iteration_cap_is_the_base_grids():
         lifted_column(make_field("identity", 2), slab, base.center_index,
                       rel_tol=1e-300)
     assert err.value.iterations == 120
+
+
+def test_lifted_column_never_coarsens_the_block_system(monkeypatch):
+    # the block system's levels are summed from the Galerkin chains of its
+    # two 2D factors, K_x and M_x, level by level: _galerkin never sees a
+    # (q, m, m) block, for 5 rows (symmetric) or 9 (nonsym_skew) alike
+    base = build_grid(2, 1.0, 33)
+    slab = build_slab(base, 1.0)
+    galerkin, shapes = sparse._galerkin, []
+
+    def count(system):
+        shapes.append(system.shape)
+        return galerkin(system)
+    monkeypatch.setattr(sparse, "_galerkin", count)
+    for family in ("scalar_trig", "nonsym_skew"):
+        _, info = lifted_column(make_field(family, 2), slab,
+                                base.center_index)
+        assert info.residual <= 1e-10
+    # per field: K_x, then M_x, at each of the 4 levels below 31 x 31
+    assert shapes == [(m, m) for m in (31, 15, 7, 3) for _ in "KM"] * 2
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_block_levels_are_the_block_chain_rounded(monkeypatch, family):
+    # each level summed from the factors' float64 chains agrees with the
+    # Galerkin chain of the whole block system to float64 round-off, so its
+    # float32 rounding is that chain's within one float32 unit; at base 17
+    # with q = 33 some entries that cancel to round-off (identity,
+    # nonsym_skew) round to other float32 values than the block chain's
+    base = build_grid(2, 1.0, 17)
+    solve, systems = sparse.solve, []
+
+    def capture(system, rhs, **kwargs):
+        systems.append(system)
+        return solve(system, rhs, **kwargs)
+    monkeypatch.setattr(sparse, "solve", capture)
+    lifted_column(make_field(family, 2), build_slab(base, 4.125),
+                  base.center_index)
+    fine = systems[0]
+    assert fine.shape == (33, 15, 15) and len(fine.hierarchy) == 3
+    for stored in fine.hierarchy:
+        fine = galerkin_all_rows(fine)
+        assert stored.data.dtype == np.float32
+        assert stored.shape == fine.shape
+        scale = np.abs(fine.data).max()
+        np.testing.assert_allclose(stored.data, fine.data,
+                                   rtol=np.finfo(np.float32).eps,
+                                   atol=64 * np.finfo(float).eps * scale)

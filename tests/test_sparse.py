@@ -10,7 +10,7 @@ import greenbox
 from greenbox import (ConfigError, ConvergenceError, SparseSystem, assemble,
                       build_grid, lift, load_delta, make_field, matvec, mesh,
                       solve, sparse)
-from oracles import dense_solve, validate
+from oracles import dense_solve, galerkin_all_rows, validate
 
 
 def from_dense(mat, symmetric=None):
@@ -292,12 +292,18 @@ def test_galerkin_levels_match_dense_triple_product():
             assert systems[-1].hierarchy[-1].shape == (1,) * dim
     # the mode axis of the lift block system is a batch axis: at q = 4 and
     # at odd q = 3 alike only the base axes (1, 2) coarsen, and P is the
-    # identity along the modes
-    blocks = [_lift_blocks(9), _lift_blocks(7)]
-    assert [b.couplings.axes for b in blocks] == [(False, True, True)] * 2
-    assert [b.coarse_axes for b in blocks] == [(1, 2)] * 2
+    # identity along the modes; 5 rows for a symmetric field, 9 for
+    # nonsym_skew
+    blocks = [_lift_blocks(9), _lift_blocks(7), _lift_blocks(9, "diag_aniso"),
+              _lift_blocks(9, "nonsym_skew"), _lift_blocks(7, "nonsym_skew")]
+    assert [len(b.data) for b in blocks] == [5, 5, 5, 9, 9]
+    assert [b.shape[0] for b in blocks] == [4, 3, 4, 4, 3]
+    assert [b.couplings.axes for b in blocks] == [(False, True, True)] * 5
+    assert [b.coarse_axes for b in blocks] == [(1, 2)] * 5
     # the float64 _galerkin chain holds the products to 1e-12; the stored
-    # hierarchy is that chain rounded once to float32, level by level
+    # hierarchy is that chain rounded once to float32, level by level (the
+    # lift block system's is summed from its factors' chains, and rounds to
+    # the same float32 values here)
     for fine in systems + blocks:
         for stored in fine.hierarchy:
             coarse = sparse._galerkin(fine)
@@ -322,6 +328,35 @@ def test_galerkin_levels_match_dense_triple_product():
                                        rtol=1e-12,
                                        atol=1e-14 * abs(expected).max())
             fine = coarse
+
+
+def test_galerkin_is_bitwise_the_all_rows_product(monkeypatch):
+    # _galerkin forms only the coarse rows a symmetric level keeps; every
+    # level of the chain is bitwise the product over all coarse rows
+    systems = [_lift_blocks(9), _lift_blocks(9, "nonsym_skew")]
+    for dim, R, n, family in ((2, 1.0, 17, "scalar_trig"),
+                              (2, 1.0, 17, "nonsym_skew"),
+                              (3, 1.0, 9, "scalar_trig"),
+                              (3, 1.0, 9, "diag_aniso"),
+                              (3, 1.0, 9, "nonsym_skew")):
+        systems.append(assemble(make_field(family, dim),
+                                build_grid(dim, R, n)))
+    # wrapped slabs: odd period 3 (p_c = p) and the 4-plane 3D slab
+    for dim, R, n, family, block in ((2, 3.0, 19, "scalar_trig", 3 * 17),
+                                     (3, 1.0, 9, "scalar_trig", 4 * 7 ** 2),
+                                     (3, 1.0, 9, "nonsym_skew", 4 * 7 ** 2)):
+        monkeypatch.setattr(sparse, "_BLOCK", block)
+        systems.append(assemble(make_field(family, dim),
+                                build_grid(dim, R, n)))
+        assert systems[-1].period < systems[-1].shape[0]
+    assert [len(s.data) for s in systems[:2]] == [5, 9]
+    for fine in systems:
+        level, reference = fine, fine
+        while level.coarse_axes:
+            level = sparse._galerkin(level)
+            reference = galerkin_all_rows(reference)
+            assert level.shape == reference.shape
+            assert level.data.tobytes() == reference.data.tobytes()
 
 
 def test_coupling_record_of_the_lift_block_system():
