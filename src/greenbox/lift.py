@@ -16,6 +16,7 @@ oracle ``assemble_lifted`` forms the 3D slab matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +141,8 @@ def integrate_t(slab, slab_values, kappa):
     Returns a field over the base-grid nodes.  kappa must be a layer
     multiple (the standard experiments use kappa = t_half_width or half of it).
     """
+    if not math.isfinite(kappa):
+        raise ConfigError(f"kappa must be finite, got {kappa}")
     if kappa > slab.t_half_width * (1 + 1e-12):
         raise ConfigError("kappa exceeds the slab half-width")
     steps = kappa / slab.h

@@ -16,6 +16,7 @@ period cell (``cell_stencil``) over one period slab of the box.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -117,19 +118,24 @@ class BoxGrid:
 
 
 def build_grid(d, R, n):
-    """Validated BoxGrid constructor: n odd, n >= 5, R > 0."""
+    """Validated BoxGrid constructor: n an odd integer >= 5, R finite and
+    positive."""
     if d not in (2, 3):
         raise ConfigError(f"dimension must be 2 or 3, got {d}")
-    if R <= 0:
-        raise ConfigError("half-width R must be positive")
-    if n < 5 or n % 2 == 0:
-        raise ConfigError(f"nodes per axis must be odd and >= 5, got {n}")
+    if not (math.isfinite(R) and R > 0):
+        raise ConfigError(f"half-width R must be finite and positive, got {R}")
+    if not isinstance(n, numbers.Integral) or n < 5 or n % 2 == 0:
+        raise ConfigError(
+            f"nodes per axis must be an odd integer >= 5, got {n}")
     return BoxGrid(d, float(R), int(n))
 
 
 def even_steps(half_width, h):
     """2 half_width / h, which must be even so that boxes of spacing h nest."""
     steps = 2.0 * half_width / h
+    if not math.isfinite(steps):
+        raise ConfigError(f"half-width {half_width} and spacing {h} must be "
+                          "finite")
     if abs(steps - round(steps)) > 1e-9 or round(steps) % 2 != 0:
         raise ConfigError(
             f"half-width {half_width} is not a multiple of the spacing {h}")

@@ -7,7 +7,8 @@ V-cycle: vertex-centred 2:1 coarsening, linear prolongation P, Galerkin
 coarse stencils P^T K P (faithful to an oscillating coefficient; Alcouffe,
 Brandt, Dendy & Painter, SIAM J. Sci. Stat. Comput. 2, 1981) and scaled
 l1-Jacobi smoothing (Baker, Falgout, Kolev & Yang, SIAM J. Sci. Comput. 33,
-2011): node i is weighted THETA / sum_j |K_ij| over its on-grid couplings.
+2011): node i is weighted THETA / sum_j |K_ij| over its on-grid couplings,
+the row sum (|K| 1)_i that matvec's own multiply-adds give.
 For symmetric K, M = diag(sum_j |K_ij|) has M - K >= 0, so the eigenvalues
 of THETA M^-1 K lie in (0, THETA]: with THETA < 2 every sweep contracts for
 any coercive A, however anisotropic, and the V-cycle stays SPD for CG.  On
@@ -28,19 +29,18 @@ return; both scalings are exact, and a tiny residual (1e-46 at rel_tol =
 the smoother weights follow the dtype of the data they are given.
 A symmetric stencil stores its centre row and the rows after it in offset
 order, (3^c + 1) / 2 of the 3^c: row o of node i is K_{i, i+o}, and its
-transpose K_{i+o, i} is the coupling of row -o, so matvec, the smoother
-weights, ``nnz`` and ``to_dense`` apply each non-centre row twice, and the
-operator is exactly symmetric.  A nonsymmetric stencil stores all 3^c rows.
+transpose K_{i+o, i} is the coupling of row -o, so matvec (and so the
+smoother weights), ``nnz`` and ``to_dense`` apply each non-centre row
+twice, and the operator is exactly symmetric.  A nonsymmetric stencil
+stores all 3^c rows.
 A stencil stores rows only over the axes it couples; the other axes are
 batch axes (the mode axis of the lift block system), which are never padded
 or coarsened, so a batch of uncoupled problems stores and cycles only the
 rows of its c coupled axes.  ``batch_system`` builds such a system,
 sum_t diag(w_t) (x) F_t, and sums each of its Galerkin levels from the
 float64 levels of its factors F_t, so no Galerkin product runs over the
-batch.  Matvecs skip stencil rows that are zero everywhere; those are
-now only the face-zeroed rows of a level one node long along a stencil axis,
-like the lift block system's coarsest level (q, 1, 1).
-A matvec walks the nodes in blocks of _BLOCK, each block running the coupled
+batch.
+A matvec walks the nodes in blocks of _BLOCK, each block running the stored
 rows in offset order, so a block's slices stay in a core's L2 cache while
 every node sees the same operations in the same order as in one sweep: the
 output is bitwise that of the unblocked loop, signed zeros included.  A
@@ -75,11 +75,6 @@ SWEEPS = 2
 class SolveInfo(NamedTuple):
     iterations: int
     residual: float
-
-
-class Couplings(NamedTuple):
-    rows: tuple    # stencil rows holding a nonzero entry, in offset order
-    axes: tuple    # per axis: one of those rows has a nonzero offset along it
 
 
 def stencil_offsets(d):
@@ -175,13 +170,12 @@ class SparseSystem:
 
     @cached_property
     def nnz(self):
-        """On-grid couplings of the coupled rows: prod(m - |o|) per offset o,
+        """On-grid couplings of the stored rows: prod(m - |o|) per offset o,
         twice for a symmetric non-centre row (o and -o), which is
-        prod(3m - 2) when every row couples."""
-        offsets = self.offsets[list(self.couplings.rows)]
-        times = 1 + (self.symmetric & offsets.any(axis=1))
-        return int((np.prod(np.subtract(self.shape, np.abs(offsets)), axis=1)
-                    * times).sum())
+        prod(3m - 2) over the stencil axes times the batch size."""
+        times = 1 + (self.symmetric & self.offsets.any(axis=1))
+        return int((np.prod(np.subtract(self.shape, np.abs(self.offsets)),
+                            axis=1) * times).sum())
 
     @cached_property
     def hierarchy(self):
@@ -196,15 +190,9 @@ class SparseSystem:
     @cached_property
     def single(self):
         """float32 copy of the stencil: the V-cycle's fine level, and the
-        stored form of a coarse level.  Only the coupled rows are written,
-        so zero rows never become resident."""
-        data = np.zeros(self.data.shape, dtype=np.float32)
-        for k in self.couplings.rows:
-            data[k] = self.data[k]
-        copy = SparseSystem(self.shape, data, self.symmetric,
-                            self.stencil_axes)
-        copy.couplings = self.couplings    # no scan of the unwritten rows
-        return copy
+        stored form of a coarse level."""
+        return SparseSystem(self.shape, self.data.astype(np.float32),
+                            self.symmetric, self.stencil_axes)
 
     @cached_property
     def smoother(self):
@@ -212,49 +200,21 @@ class SparseSystem:
         dtype, the sum over the on-grid couplings j of node i (Baker,
         Falgout, Kolev & Yang, SIAM J. Sci. Comput. 33, 2011).
 
-        Summed on the stored planes, coupled row by coupled row in offset
-        order, each non-centre row of a symmetric stencil twice: |K_{i,i+o}|
-        and its transpose |K_{i-o,i}|, read modulo the stored nodes.  Node
-        planes 0 and m - 1 are summed again without the couplings that leave
-        the grid along axis 0, so a slab's periodic face couplings are
-        skipped, and the weights are bitwise those of the full layout.
+        The sums are |K| 1: matvec's multiply-adds (``_plan``) on |row| and
+        a zero-padded vector of ones, so a slab's periodic axis-0 face
+        couplings meet the padding, and the weights are bitwise those of the
+        full layout.
         """
-        m, p, size = self.shape[0], self.period, self.data.shape[1]
-        plane = size // p
-        along, shifts = self.offsets[:, 0], self.shifts
-
-        def nodes(k, a, b):
-            """|row k| at the nodes a..b-1 (b - a <= size), modulo size."""
-            a, n = a % size, b - a
-            row = self.data[k]
-            return np.abs(row[a:a + n] if a + n <= size else np.concatenate(
-                (row[a:], row[:a + n - size])))
-
-        def l1(j0, j1, keep):
-            """Sums over node planes j0..j1-1 of the couplings that go
-            ``along`` axis 0 by a step for which keep(step) holds."""
-            a, b = j0 * plane, j1 * plane
-            s = np.zeros(b - a, self.data.dtype)
-            for k in self.couplings.rows:
-                if keep(along[k]):
-                    s += nodes(k, a, b)
-                if self.symmetric and k != self.centre and keep(-along[k]):
-                    s += nodes(k, a - shifts[k], b - shifts[k])
-            return s
-        w = self._widen(l1(0, p, lambda step: True))
-        for j in {0, m - 1}:
-            w[j * plane:(j + 1) * plane] = l1(
-                j, j + 1, lambda step: 0 <= j + step < m)
-        return THETA / w
+        n, pad = self.n_rows, int(self.shifts[-1])
+        ones = np.zeros(n + 2 * pad, self.data.dtype)
+        ones[pad:pad + n] = 1.0
+        w = np.zeros(n, self.data.dtype)
+        for ys, row, xs in _plan(self):
+            w[ys] += np.abs(row) * ones[xs]
+        return np.divide(THETA, w, out=w)
 
     @cached_property
-    def couplings(self):
-        rows = tuple(k for k, row in enumerate(self.data) if row.any())
-        offsets = self.offsets[list(rows)]
-        return Couplings(rows, tuple(bool(c) for c in offsets.any(axis=0)))
-
-    @cached_property
-    def _steps(self):
+    def _plans(self):
         """matvec's multiply-adds (``_matvec_steps``) per block size."""
         return {}
 
@@ -276,21 +236,16 @@ class SparseSystem:
                  for off in self.offsets)
         return np.array([inside[tuple(v)].ravel() for v in views])
 
-    def _widen(self, values):
-        """Per-node ``values`` stored like ``data`` (its last axis) in the
-        full layout, a new array: node plane j reads plane j mod period."""
-        lead, p = values.shape[:-1], self.period
-        return values.reshape(lead + (p, -1)).take(
-            np.arange(self.shape[0]) % p, axis=-2).reshape(lead + (-1,))
-
     def expanded(self):
         """``data`` in the full layout: node plane j reads plane j mod
         period, and the axis-0 face couplings of a slab become exactly zero."""
-        if self.period == self.shape[0]:
+        p, rows = self.period, len(self.data)
+        if p == self.shape[0]:
             return self.data
-        box = self._widen(self.data)
-        zero_faces(box.reshape((len(box),) + self.shape), self.offsets, (0,))
-        return box
+        box = self.data.reshape(rows, p, -1).take(
+            np.arange(self.shape[0]) % p, axis=1)
+        zero_faces(box.reshape((rows,) + self.shape), self.offsets, (0,))
+        return box.reshape(rows, -1)
 
     def full_rows(self):
         """All 3^c rows in the full layout: ``expanded()``, with the rows
@@ -302,7 +257,7 @@ class SparseSystem:
                        self.offsets).reshape(2 * len(box) - 1, -1)
 
     def diagonal(self):
-        return self._widen(self.data[self.centre])
+        return self.expanded()[self.centre]
 
     def to_dense(self):
         dense = np.zeros((self.n_rows, self.n_rows))
@@ -364,9 +319,9 @@ def slab_planes(p, shape):
 
 
 def matvec(system, x):
-    """y = K x: a shifted multiply-add per coupled row, in offset order, over
+    """y = K x: a shifted multiply-add per stored row, in offset order, over
     a zero-padded x, one block (at most _BLOCK nodes of one slab) at a time
-    (``_matvec_steps``).
+    (``_plan``).
 
     A read that wraps past a grid face meets an exactly-zero stencil entry.
     """
@@ -374,23 +329,26 @@ def matvec(system, x):
     n = system.n_rows
     if x.shape != (n,):
         raise ConfigError(f"matvec length mismatch: {x.shape} vs {n}")
-    steps = system._steps.get(_BLOCK)
-    if steps is None:
-        steps = system._steps[_BLOCK] = _matvec_steps(system, _BLOCK)
     pad = int(system.shifts[-1])
     dtype = np.result_type(system.data, x)
     xp = np.zeros(n + 2 * pad, dtype)
     xp[pad:pad + n] = x
     y = np.zeros(n, dtype)
-    for ys, row, xs in steps:
+    for ys, row, xs in _plan(system):
         y[ys] += row * xp[xs]
     return y
+
+
+def _plan(system):
+    """``_matvec_steps`` at the current _BLOCK, built once per system."""
+    return system._plans.get(_BLOCK) or system._plans.setdefault(
+        _BLOCK, _matvec_steps(system, _BLOCK))
 
 
 def _matvec_steps(system, block):
     """The multiply-adds y[ys] += row * xp[xs] of ``matvec`` in order, with
     ``row`` a view of the stencil and xp x padded by the largest shift: per
-    block of at most ``block`` nodes of one slab, per coupled row k in
+    block of at most ``block`` nodes of one slab, per stored row k in
     offset order, y_i += K_{i,i+o} x_{i+o}, then for a non-centre row of a
     symmetric stencil its transpose y_i += K_{i-o,i} x_{i-o}, K_{i-o,i} read
     at node i - o modulo the stored nodes (in at most two pieces); nodes
@@ -400,7 +358,7 @@ def _matvec_steps(system, block):
     pad = shifts[-1]
     steps = []
     for a, b in _blocks(n, size, block):
-        for k in system.couplings.rows:
+        for k in range(len(system.data)):
             s = shifts[k]
             steps.append((slice(a, b), system.data[k, a % size:a % size + b - a],
                           slice(pad + a + s, pad + b + s)))
@@ -615,9 +573,9 @@ def _norm(a):
 
 
 def _coupled_length(system):
-    """Longest axis along which the stencil couples neighbours, or 1."""
-    return max((m for m, c in zip(system.shape, system.couplings.axes) if c),
-               default=1)
+    """Longest stencil axis with more than one node, or 1."""
+    return max((m for k, m in enumerate(system.shape)
+                if k in system.stencil_axes and m > 1), default=1)
 
 
 def _cg(levels, r, tol_abs, history, max_iter):
@@ -695,11 +653,12 @@ def solve(system, rhs, rel_tol=1e-10, max_iter=None):
     it fails there (drift, or a BiCGStab breakdown), the recursion restarts
     from the true residual (residual replacement; van der Vorst & Ye, SIAM
     J. Sci. Comput. 22, 2000).  The default max_iter is 100 + 20 x the
-    longest axis along which the coarsest level couples: 120 when the
-    hierarchy reaches one node or leaves only uncoupled axes, and growing
-    with the part of the problem that multigrid leaves to smoothing.  Raises
-    ConvergenceError (carrying the true residual and the recursive residual
-    norm of every iteration, over all restarts) when max_iter is exhausted.
+    longest stencil axis of the coarsest level with more than one node:
+    120 when the hierarchy reaches one node or leaves only batch axes, and
+    growing with the part of the problem that multigrid leaves to
+    smoothing.  Raises ConvergenceError (carrying the true residual and the
+    recursive residual norm of every iteration, over all restarts) when
+    max_iter is exhausted.
     An rhs not of shape (n_rows,), or not finite, raises ConfigError.  The
     solve runs on rhs 2^-e, e the exponent of max|rhs|, and scales u, the
     residual and the history back by 2^e: both scalings are exact, so the

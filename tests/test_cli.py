@@ -146,6 +146,15 @@ def test_cli_non_integer_frequency_exit_2(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "freq" in err[0]
 
 
+@pytest.mark.parametrize("R", ["nan", "inf"])
+def test_cli_non_finite_half_width_exit_2(tmp_path, capsys, R):
+    # R = nan used to exit 0 with a column on a grid of NaN coordinates
+    cfg = write(tmp_path / "solve.cfg", f"dim = 2\nR = {R}\nn = 9\n")
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+
+
 def test_cli_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
     def oversized(*args, **kwargs):
         raise MemoryError("Unable to allocate 8.00 TiB")

@@ -98,6 +98,14 @@ def test_kappa_validation():
         integrate_t(slab, vals, 0.3 * slab.h)
 
 
+def test_integrate_t_rejects_a_non_finite_kappa():
+    slab = build_slab(build_grid(2, 1.0, 9), 1.0)
+    vals = np.ones(slab.shape)
+    for kappa in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            integrate_t(slab, vals, kappa)
+
+
 def test_arctan_kernel_identity():
     # quadrature-free closed form and its kappa -> inf limit
     assert arctan_kernel(1.0, 100.0) == pytest.approx(2.0 * np.arctan(100.0))

@@ -42,6 +42,29 @@ def test_grid_parity_rule():
         build_grid(2, -1.0, 5)
 
 
+def test_grid_rejects_a_non_finite_half_width_and_a_non_integer_count():
+    # R = nan passed R <= 0 and built a grid of NaN coordinates; n = 9.5
+    # built n = 9
+    for R in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            build_grid(2, R, 9)
+    for n in (9.5, 9.0):
+        with pytest.raises(ConfigError, match="integer"):
+            build_grid(2, 1.0, n)
+    assert build_grid(2, 1.0, np.int64(9)).n == 9
+
+
+def test_even_steps_rejects_non_finite_lengths():
+    for half_width, h in ((math.nan, 0.25), (math.inf, 0.25), (1.0, math.nan)):
+        with pytest.raises(ConfigError, match="finite"):
+            mesh.even_steps(half_width, h)
+    # a slab's layer count goes through even_steps
+    base = build_grid(2, 1.0, 9)
+    for width in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            build_slab(base, width)
+
+
 def test_origin_is_exact_node():
     for d, n in ((2, 9), (3, 7)):
         g = build_grid(d, 1.7, n)

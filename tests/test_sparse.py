@@ -298,7 +298,7 @@ def test_galerkin_levels_match_dense_triple_product():
               _lift_blocks(9, "nonsym_skew"), _lift_blocks(7, "nonsym_skew")]
     assert [len(b.data) for b in blocks] == [5, 5, 5, 9, 9]
     assert [b.shape[0] for b in blocks] == [4, 3, 4, 4, 3]
-    assert [b.couplings.axes for b in blocks] == [(False, True, True)] * 5
+    assert [b.stencil_axes for b in blocks] == [(1, 2)] * 5
     assert [b.coarse_axes for b in blocks] == [(1, 2)] * 5
     # the float64 _galerkin chain holds the products to 1e-12; the stored
     # hierarchy is that chain rounded once to float32, level by level (the
@@ -359,25 +359,25 @@ def test_galerkin_is_bitwise_the_all_rows_product(monkeypatch):
             assert level.data.tobytes() == reference.data.tobytes()
 
 
-def test_coupling_record_of_the_lift_block_system():
+def test_offsets_of_the_lift_block_system():
     blocks = _lift_blocks(9)
     assert blocks.shape == (4, 7, 7) and blocks.stencil_axes == (1, 2)
     # it stores the 5 in-plane offsets of the 27-point stencil from its
-    # centre on, in its order, and each of them couples
+    # centre on, in its order
     forward = sparse.stencil_offsets(3)[13:]
     assert np.array_equal(blocks.offsets, forward[forward[:, 0] == 0])
     assert blocks.data.shape == (5, blocks.n_rows)
-    assert blocks.couplings.rows == tuple(range(5))
-    assert blocks.couplings.axes == (False, True, True)
     x = np.sin(np.arange(blocks.n_rows) + 1.0)
     ref = blocks.to_dense() @ x
     np.testing.assert_allclose(matvec(blocks, x), ref, rtol=0,
                                atol=1e-14 * np.abs(ref).max())
-    # the coarsest level (4, 1, 1) has 5 rows and couples only its centre
-    # row; its shifts repeat out of order, and the last is still the largest
+    # the coarsest level (4, 1, 1) has 5 rows, and only its centre row has
+    # an on-grid coupling; its shifts repeat out of order, and the last is
+    # still the largest
     coarsest = blocks.hierarchy[-1]
     assert coarsest.shape == (4, 1, 1) and coarsest.data.shape == (5, 4)
-    assert coarsest.couplings == ((0,), (False, False, False))
+    assert coarsest.data[0].all() and not coarsest.data[1:].any()
+    assert coarsest.nnz == 4
     assert np.any(np.diff(coarsest.shifts) <= 0)
     assert coarsest.shifts[-1] == np.abs(coarsest.shifts).max()
 
@@ -414,7 +414,33 @@ def test_block_system_is_the_27_row_operator(family):
     assert u.tobytes() == u27.tobytes() and info == info27
 
 
-def test_matvec_skipping_a_zero_row_is_bitwise_the_full_loop():
+@pytest.mark.parametrize("family,rows", [("scalar_trig", 5),
+                                         ("nonsym_skew", 9)])
+def test_smoother_of_the_lift_block_system_and_its_levels(family, rows):
+    # l1-Jacobi weights over a batch axis: THETA over the row sums of |K|,
+    # on the block system and on each level (in float64 to 1e-14, and in
+    # its stored float32 to a few float32 units)
+    blocks = _lift_blocks(9, family)
+    assert len(blocks.data) == rows and blocks.stencil_axes == (1, 2)
+    for level in (blocks,) + blocks.hierarchy:
+        l1 = np.abs(level.to_dense()).sum(axis=1)
+        wide = SparseSystem(level.shape, level.data.astype(np.float64),
+                            level.symmetric, level.stencil_axes)
+        np.testing.assert_allclose(wide.smoother, sparse.THETA / l1,
+                                   rtol=1e-14)
+        assert level.smoother.dtype == level.data.dtype
+        np.testing.assert_allclose(level.smoother, sparse.THETA / l1,
+                                   rtol=4 * np.finfo(level.data.dtype).eps)
+    # the coarsest level (4, 1, 1) couples nothing off the centre: its
+    # weights are bitwise THETA over the centre row, in float32
+    coarsest = blocks.hierarchy[-1]
+    assert coarsest.shape == (4, 1, 1)
+    centre = np.abs(coarsest.data[coarsest.centre])
+    assert coarsest.smoother.tobytes() == \
+        (np.float32(sparse.THETA) / centre).tobytes()
+
+
+def test_matvec_over_an_all_zero_row_is_bitwise_the_full_loop():
     rng = np.random.default_rng(3)
     g = build_grid(2, 1.0, 9)
     K = unsymmetric(assemble(make_field("identity", 2), g))
@@ -423,7 +449,6 @@ def test_matvec_skipping_a_zero_row_is_bitwise_the_full_loop():
     data[2] = 0.0  # offset (-1, 1) couples nothing
     system = SparseSystem(K.shape, data, False)
     assert validate(system)
-    assert system.couplings.rows == (0, 1, 3, 4, 5, 6, 7, 8)
     x = rng.standard_normal(system.n_rows)
     x[::5] = -0.0
     assert matvec(system, x).tobytes() == _full_loop(system, x).tobytes()
@@ -664,16 +689,16 @@ def test_non_contiguous_stencil_data_rejected(monkeypatch):
 
 def test_nnz_counts_the_on_grid_couplings_of_the_coupled_rows():
     g3, g2 = build_grid(3, 1.0, 9), build_grid(2, 1.0, 17)
+    blocks = _lift_blocks(9)
     systems = [assemble(make_field("scalar_trig", 3), g3),
-               assemble(make_field("nonsym_skew", 2), g2), _lift_blocks(9)]
+               assemble(make_field("nonsym_skew", 2), g2), blocks,
+               blocks.hierarchy[-1]]
     for system in systems:
         # a symmetric stencil's couplings are those of all its 3^c rows
-        full = unsymmetric(system)
-        on_grid = full._on_grid()[list(full.couplings.rows)]
-        assert system.nnz == on_grid.sum()
-    # every row of an assembled stencil couples; the lift block system's
-    # 9 in-plane rows bill 4 modes of 7 x 7 nodes
-    assert [s.nnz for s in systems] == [19 ** 3, 43 ** 2, 4 * 19 ** 2]
+        assert system.nnz == unsymmetric(system)._on_grid().sum()
+    # the lift block system's 9 in-plane rows bill 4 modes of 7 x 7 nodes;
+    # on its coarsest level (4, 1, 1) only the centre row is on the grid
+    assert [s.nnz for s in systems] == [19 ** 3, 43 ** 2, 4 * 19 ** 2, 4]
 
 
 def test_poorly_coarsening_systems_match_dense_oracle():
@@ -789,11 +814,11 @@ def test_vcycle_scaling_is_exact():
     assert not sparse._vcycle(levels, np.zeros(K.n_rows)).any()
 
 
-def test_single_copy_writes_only_the_coupled_rows():
+def test_single_copy_is_the_float32_rounding():
     blocks = _lift_blocks(9)
     single = blocks.single
     assert single.data.dtype == np.float32 and single.shape == blocks.shape
-    assert single.couplings == blocks.couplings
+    assert single.stencil_axes == blocks.stencil_axes
     assert single.data.tobytes() == blocks.data.astype(np.float32).tobytes()
     assert blocks.single is single    # cached with the system
 
