@@ -50,8 +50,11 @@ Matvecs and inner products run in numpy's own fixed-order loops, never in
 BLAS, so runs with identical inputs are bitwise reproducible at any BLAS
 thread count.
 A periodic stencil may store only a slab of ``period`` node planes along
-axis 0 (see ``SparseSystem``); its axis-0 face couplings then meet the zero
-padding of x and add +-0, which leaves y (never -0) bitwise unchanged.
+axis 0 (see ``SparseSystem``): the fewest whole periods that cover _BLOCK
+nodes (``slab_planes``).  Its axis-0 face couplings then meet the zero
+padding of x and add +-0, which leaves y (never -0) bitwise unchanged, and
+a block never crosses a slab seam, so matvec may run more blocks than over
+the full layout, with the same output.
 """
 
 from __future__ import annotations
@@ -129,6 +132,10 @@ class SparseSystem:
             raise ConfigError(f"a {'' if self.symmetric else 'non'}symmetric "
                               f"stencil stores {rows} rows, got "
                               f"{self.data.shape}")
+        q, rest = divmod(self.data.shape[1], math.prod(self.shape[1:]))
+        if rest or not 1 <= q <= self.shape[0]:
+            raise ConfigError(f"stencil data of {self.data.shape[1]} nodes "
+                              f"is not whole node planes of {self.shape}")
 
     @cached_property
     def offsets(self):
@@ -145,13 +152,6 @@ class SparseSystem:
     def centre(self):
         """Stored row of the diagonal: the first of a symmetric stencil."""
         return 0 if self.symmetric else (len(self.data) - 1) // 2
-
-    @property
-    def stencil_dims(self):
-        """Offset dimensions of the layout of all 3^c stencil rows (3 per
-        stencil axis, 1 per batch axis) before their node shape."""
-        return tuple(3 if k in self.stencil_axes else 1
-                     for k in range(len(self.shape)))
 
     @property
     def coarse_axes(self):
@@ -183,7 +183,8 @@ class SparseSystem:
         float64 levels of ``_chain``, each rounded once; only the rounded
         levels stay.  Empty when no stencil axis coarsens: the
         preconditioner is then l1-Jacobi smoothing alone.  ``batch_system``
-        sets it on the systems it builds from the chains of their factors.
+        sets it on the systems it builds and on their factors from the
+        factors' chains.
         """
         return tuple(level.single for level in _chain(self))
 
@@ -307,15 +308,10 @@ def _blocks(n, size, block):
 
 def slab_planes(p, shape):
     """Node planes along axis 0 to store of a stencil with period p there:
-    the smallest multiple of p whose slab covers _BLOCK nodes and gives
-    matvec no more blocks than the full layout, else the whole axis."""
+    the smallest multiple of p whose slab covers _BLOCK nodes, else the
+    whole axis."""
     m, plane = shape[0], math.prod(shape[1:])
-
-    def blocks(q):    # len(_blocks(m * plane, q * plane, _BLOCK)), not built
-        slabs, rest = divmod(m, q)
-        return slabs * -(-q * plane // _BLOCK) + -(-rest * plane // _BLOCK)
-    return next((q for q in range(p, m, p) if q * plane >= _BLOCK
-                 and blocks(q) <= blocks(m)), m)
+    return next((q for q in range(p, m, p) if q * plane >= _BLOCK), m)
 
 
 def matvec(system, x):
@@ -419,16 +415,6 @@ _COLUMN_WEIGHTS = {-2: ((-1, 1.0),), -1: ((-1, 0.5), (0, 0.5)),
                    0: ((0, 1.0),), 1: ((0, 0.5), (1, 0.5)), 2: ((1, 1.0),)}
 
 
-def _off_centre(dims):
-    """Slices over offset dimensions ``dims`` (3 per stencil axis, 1 per
-    batch axis) that tile the offsets other than 0: none when no dimension
-    is a stencil axis."""
-    zero = tuple(slice(n // 2, n // 2 + 1) for n in dims)
-    rest = len(dims) - 1
-    return [zero[:i] + (slice(0, 3, 2),) + (slice(None),) * (rest - i)
-            for i, n in enumerate(dims) if n == 3]
-
-
 def _galerkin(system):
     """The coarse stencil P^T K P, one coarsened axis at a time.
 
@@ -436,17 +422,13 @@ def _galerkin(system):
     Galerkin product applied along each coarsened axis in turn; the offsets
     along the other axes ride along unchanged, and the coarse level keeps
     the stencil axes and the layout (all 3^c rows, or the symmetric half) of
-    the fine one.  A symmetric stencil is unfolded to all 3^c rows on the
-    planes read, and the coarse one keeps its forward half, so it is exactly
-    symmetric.  Of such a level, a row at coarse offset A = -1 along the
-    axis being coarsened is formed only where its offsets along the axes
-    before it are not all 0 (so never along the first stencil axis): where
-    they are, it lies before the centre in C order and is dropped.  Each
-    kept row sees the same operations in the same order as when every row
-    is formed.  A slab with coarse period p_c (p, or p / 2 at even p) below
-    the coarse axis 0 gives p_c coarse planes from fine planes 0..2 p_c read
-    modulo p (and plane -1, whose rows unfold onto plane 0), others are
-    widened first; the coarse level is widened to the full layout."""
+    the fine one.  Every coarse row is formed: a symmetric stencil is
+    unfolded to all 3^c rows on the planes read, and the coarse one keeps
+    its forward half, so it is exactly symmetric.  A slab with coarse
+    period p_c (p, or p / 2 at even p) below the coarse axis 0 gives p_c
+    coarse planes from fine planes 0..2 p_c read modulo p (and plane -1,
+    whose rows unfold onto plane 0), others are widened first; the coarse
+    level is widened to the full layout."""
     d = len(system.shape)
     axes = system.coarse_axes
     p, m = system.period, system.shape[0]
@@ -461,21 +443,17 @@ def _galerkin(system):
             st = _unfold(st, system.offsets)[:, 1:]
     else:
         st = system.full_rows().reshape((-1,) + tuple(system.shape))
-    st = st.reshape(system.stencil_dims + st.shape[1:])
+    dims = tuple(3 if k in system.stencil_axes else 1 for k in range(d))
+    st = st.reshape(dims + st.shape[1:])
     for ax in axes:
         fine = np.moveaxis(st, (ax, d + ax), (0, 1))
         mc = (fine.shape[1] - 1) // 2
         coarse = np.zeros((3, mc) + fine.shape[2:])
-        parts = {-1: [()], 0: [()], 1: [()]}
-        if system.symmetric:
-            parts[-1] = _off_centre(fine.shape[2:2 + ax])
         for s, w_row in _ROW_WEIGHTS:
             rows = fine[:, 1 + s:2 * mc + 1 + s:2]
             for a in (-1, 0, 1):
                 for A, w_col in _COLUMN_WEIGHTS[s + a]:
-                    for part in parts[A]:
-                        at = (slice(None),) + part
-                        coarse[A + 1][at] += (w_row * w_col) * rows[a + 1][at]
+                    coarse[A + 1] += (w_row * w_col) * rows[a + 1]
         st = np.moveaxis(coarse, (0, 1), (ax, d + ax))
     nodes = st.shape[d:]
     st = st.reshape((-1,) + nodes)
@@ -506,7 +484,9 @@ def batch_system(terms):
     (``full_rows``).  P coarsens only the factor axes, so each Galerkin
     level is the same sum over the float64 ``_chain`` levels of the
     factors, rounded once to float32; no product runs over the q blocks,
-    whose chain would give the same levels up to round-off.
+    whose chain would give the same levels up to round-off.  A factor
+    without a ``hierarchy`` gets its chain rounded to float32 as one, so a
+    later solve with the factor alone builds no chain.
     """
     weights, factors = zip(*terms)
     q, symmetric = len(weights[0]), all(f.symmetric for f in factors)
@@ -522,9 +502,12 @@ def batch_system(terms):
         return SparseSystem(shape, data.reshape(len(data), -1), symmetric,
                             tuple(range(1, len(shape))))
     full = [SparseSystem(f.shape, f.expanded(), f.symmetric) for f in factors]
+    chains = [tuple(_chain(f)) for f in full]
+    for f, chain in zip(factors, chains):
+        if "hierarchy" not in f.__dict__:
+            f.hierarchy = tuple(level.single for level in chain)
     system = combine(full)
-    system.hierarchy = tuple(combine(levels).single
-                             for levels in zip(*map(_chain, full)))
+    system.hierarchy = tuple(combine(levels).single for levels in zip(*chains))
     return system
 
 

@@ -10,7 +10,7 @@ import greenbox
 from greenbox import (ConfigError, ConvergenceError, SparseSystem, assemble,
                       build_grid, lift, load_delta, make_field, matvec, mesh,
                       solve, sparse)
-from oracles import dense_solve, galerkin_all_rows, validate
+from oracles import dense_solve, validate
 
 
 def from_dense(mat, symmetric=None):
@@ -330,35 +330,6 @@ def test_galerkin_levels_match_dense_triple_product():
             fine = coarse
 
 
-def test_galerkin_is_bitwise_the_all_rows_product(monkeypatch):
-    # _galerkin forms only the coarse rows a symmetric level keeps; every
-    # level of the chain is bitwise the product over all coarse rows
-    systems = [_lift_blocks(9), _lift_blocks(9, "nonsym_skew")]
-    for dim, R, n, family in ((2, 1.0, 17, "scalar_trig"),
-                              (2, 1.0, 17, "nonsym_skew"),
-                              (3, 1.0, 9, "scalar_trig"),
-                              (3, 1.0, 9, "diag_aniso"),
-                              (3, 1.0, 9, "nonsym_skew")):
-        systems.append(assemble(make_field(family, dim),
-                                build_grid(dim, R, n)))
-    # wrapped slabs: odd period 3 (p_c = p) and the 4-plane 3D slab
-    for dim, R, n, family, block in ((2, 3.0, 19, "scalar_trig", 3 * 17),
-                                     (3, 1.0, 9, "scalar_trig", 4 * 7 ** 2),
-                                     (3, 1.0, 9, "nonsym_skew", 4 * 7 ** 2)):
-        monkeypatch.setattr(sparse, "_BLOCK", block)
-        systems.append(assemble(make_field(family, dim),
-                                build_grid(dim, R, n)))
-        assert systems[-1].period < systems[-1].shape[0]
-    assert [len(s.data) for s in systems[:2]] == [5, 9]
-    for fine in systems:
-        level, reference = fine, fine
-        while level.coarse_axes:
-            level = sparse._galerkin(level)
-            reference = galerkin_all_rows(reference)
-            assert level.shape == reference.shape
-            assert level.data.tobytes() == reference.data.tobytes()
-
-
 def test_offsets_of_the_lift_block_system():
     blocks = _lift_blocks(9)
     assert blocks.shape == (4, 7, 7) and blocks.stencil_axes == (1, 2)
@@ -522,8 +493,8 @@ def test_blocked_solve_is_bitwise_the_single_block_solve(monkeypatch, family):
     assert info7 == info
 
 
-# (dim, R, n, family, block): a block of exactly p node planes makes
-# assemble store a p-plane slab
+# (dim, R, n, family, block): a block of at most p node planes makes
+# assemble store a slab of one period p
 SLABS = [(2, 1.0, 17, "scalar_trig", 8 * 15),
          (2, 1.0, 17, "nonsym_skew", 8 * 15),
          (3, 1.0, 9, "scalar_trig", 4 * 7 ** 2),
@@ -531,7 +502,10 @@ SLABS = [(2, 1.0, 17, "scalar_trig", 8 * 15),
          # h = 1/3: odd period 3, so the Galerkin product wraps at p_c = p
          (2, 3.0, 19, "scalar_trig", 3 * 17),
          # p_c = 3 is not below the 2 coarse planes: widened before Galerkin
-         (2, 1.0, 7, "scalar_trig", 3 * 5)]
+         (2, 1.0, 7, "scalar_trig", 3 * 5),
+         # an 8-plane slab of 120 nodes covers a block of 75: matvec runs 4
+         # blocks, where the full layout of 225 nodes runs 3
+         (2, 1.0, 17, "scalar_trig", 75)]
 
 
 def _layout_results(K, g):
@@ -559,7 +533,8 @@ def test_slab_is_bitwise_the_full_layout(monkeypatch, dim, R, n, family,
     monkeypatch.setattr(sparse, "_BLOCK", block)
     slab = assemble(f, g)
     assert slab.period < slab.shape[0]
-    assert slab.data.shape == (sparse.stored_rows(dim, full.symmetric), block)
+    assert slab.period == mesh.cell_period(g)
+    assert len(slab.data) == sparse.stored_rows(dim, full.symmetric)
     assert validate(slab)
     assert slab.expanded().tobytes() == full.data.tobytes()
     # every coarse level keeps the full layout: its period is compared too
@@ -658,16 +633,15 @@ def test_production_column_stores_a_16_plane_slab():
 
 @pytest.mark.parametrize("p,shape,planes", [
     (16, (63, 63, 63), 16), (8, (63, 63, 63), 16),
-    # 2D n = 129 would split into 8 blocks of 2,032 nodes at 16 planes
+    # no slab of 2D n = 129 short of the whole axis covers _BLOCK nodes
     (16, (127, 127), 127),
-    # a slab of 160, 192 or 224 planes gives 3 blocks, the whole axis 2
-    (32, (255, 255), 255)])
-def test_slab_planes_never_add_matvec_blocks(p, shape, planes):
+    # 160 planes of 255 nodes: the first multiple of 32 that covers _BLOCK
+    (32, (255, 255), 160),
+    # 3D R = 8, n = 129: one period, 8 planes of 127^2 nodes
+    (8, (127, 127, 127), 8)])
+def test_slab_planes_are_the_fewest_periods_covering_a_block(p, shape,
+                                                             planes):
     assert sparse.slab_planes(p, shape) == planes
-    n = int(np.prod(shape))
-    size = planes * n // shape[0]
-    blocks = sparse._blocks(n, size, sparse._BLOCK)
-    assert len(blocks) == -(-n // sparse._BLOCK)
 
 
 def test_non_contiguous_stencil_data_rejected(monkeypatch):
@@ -685,6 +659,16 @@ def test_non_contiguous_stencil_data_rejected(monkeypatch):
     monkeypatch.setattr(sparse, "_BLOCK", 4 * 7 ** 2)
     assert assemble(f, g).hierarchy
     assert _lift_blocks(9).hierarchy
+
+
+def test_stencil_data_of_partial_or_surplus_planes_rejected():
+    # a 7 x 7 grid has planes of 7 nodes: 50 is not whole planes, and 100
+    # nodes would be 14 planes, where the grid has 7
+    for nodes in (50, 100):
+        with pytest.raises(ConfigError, match="whole node planes"):
+            SparseSystem((7, 7), np.ones((5, nodes)), True)
+    assert SparseSystem((7, 7), np.ones((5, 49)), True).period == 7
+    assert SparseSystem((7, 7), np.ones((5, 7)), True).period == 1
 
 
 def test_nnz_counts_the_on_grid_couplings_of_the_coupled_rows():
@@ -906,7 +890,6 @@ def test_zero_faces_skips_an_axis_sliced_to_the_centre():
     shape = (4, 3, 2)
     for rows, symmetric in ((9, False), (5, True)):
         system = SparseSystem(shape, np.zeros((rows, 24)), symmetric, (1, 2))
-        assert system.stencil_dims == (1, 3, 3)
         assert not system.offsets[:, 0].any()
         data = 1.0 + np.random.default_rng(6).random((rows,) + shape)
         sparse.zero_faces(data, system.offsets, range(3))
