@@ -149,7 +149,8 @@ def cmd_field_info(cfg, args):
     print(f"declared bound   {field.bound}")
     print(f"holder exponent  {field.holder_exponent}")
     alpha_hat = fields.verify_coercivity(field)
-    periodic = fields.verify_periodicity(field, seed=args.seed or 0)
+    seed = args.seed if args.seed is not None else int(cfg.get("seed") or 0)
+    periodic = fields.verify_periodicity(field, seed=seed)
     print(f"alpha_hat        {alpha_hat:.12g}")
     print(f"periodic         {periodic}")
     return 0 if periodic else 1

@@ -190,13 +190,7 @@ def verify_coercivity(field, samples_per_axis=64, tolerance=None):
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     mats = evaluate(field, pts)
     sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-    if d == 2:
-        # closed-form smallest eigenvalue of a symmetric 2x2 matrix
-        a, b, c = sym[:, 0, 0], sym[:, 0, 1], sym[:, 1, 1]
-        lam = 0.5 * (a + c) - np.sqrt(0.25 * (a - c) ** 2 + b**2)
-        alpha_hat = float(lam.min())
-    else:
-        alpha_hat = float(np.linalg.eigvalsh(sym)[:, 0].min())
+    alpha_hat = float(np.linalg.eigvalsh(sym)[:, 0].min())
     if alpha_hat <= 0.0:
         raise ConfigError(f"field is not coercive: alpha_hat = {alpha_hat}")
     if alpha_hat < field.alpha - tolerance:

@@ -11,7 +11,8 @@ It is a verification device, not a production path for 2D columns (direct
 
 The slab solve splits into independent 2D problems by sine modes in t (fast
 diagonalization, Lynch, Rice & Thomas, Numer. Math. 6, 1964); only the test
-oracle ``assemble_lifted`` forms the 3D slab matrix.
+oracle ``assemble_lifted`` forms the 3D slab matrix.  Storage is ``sparse``'s:
+this module hands it rows (M_x as a period-1 cell) and block terms.
 """
 
 from __future__ import annotations
@@ -60,11 +61,6 @@ def build_slab(base, t_half_width):
     slab = SlabGrid(base=base, t_half_width=float(t_half_width))
     if slab.n_layers < 5:
         raise ConfigError("slab needs at least 5 layers")
-    # lifted_column's block system over (n_layers - 1) / 2 modes, in the 5
-    # rows of a symmetric field, the fewest any field stores; lifted_column
-    # charges the rows its field stores before it allocates them
-    mesh.check_stencil_fits(sparse.stored_rows(2, True),
-                            (slab.n_layers - 1) // 2 * (base.n - 2) ** 2)
     return slab
 
 
@@ -96,12 +92,11 @@ def sine_modes(slab):
 
 
 def mass_2d(base):
-    """Q1 mass matrix M_1 (x) M_1 over the interior nodes of a 2D grid, in
-    the 5 stored rows of a symmetric stencil."""
-    m1 = np.repeat(base.h * np.array([[1.0], [4.0], [1.0]]) / 6.0, base.n - 2, 1)
-    sparse.zero_faces(m1, sparse.stencil_offsets(1), (0,))
-    return sparse.SparseSystem((base.n - 2,) * 2, np.einsum(
-        "ai,bj->abij", m1, m1).reshape(9, -1)[4:].copy(), True)
+    """Q1 mass matrix M_1 (x) M_1 over a 2D grid's interior nodes: the
+    period-1 cell m_a m_b at offset (a, b), m = h (1, 4, 1) / 6."""
+    m1 = base.h * np.array([1.0, 4.0, 1.0]) / 6.0
+    return sparse.tile((base.n - 2,) * 2,
+                       np.multiply.outer(m1, m1).reshape(9, 1), 1, True)
 
 
 def lifted_column(field, slab, y, *, system=None, rel_tol=1e-10):
@@ -111,27 +106,24 @@ def lifted_column(field, slab, y, *, system=None, rel_tol=1e-10):
     stiffness K_x (assembled when None).  Since K = K_x (x) M_t + M_x (x) K_t,
     the q odd modes solve (mu_k K_x + lambda_k M_x) u_k = phi_k(0) e_y as one
     block system of shape (q, *base interior), ``sparse.batch_system`` of
-    the terms (mu, K_x) and (lambda, M_x), once the memory guard has passed
-    its rows.  Its mode axis is a batch axis: the system stores only the
-    stencil rows of the base axes (the 5 of a symmetric K_x, else all 9,
-    with M_x unfolded to match), never coarsens the modes into each other,
-    and has the base grid's iteration cap; its Galerkin levels are summed
-    from those of K_x and M_x.  Its residual is the slab residual (the sine
-    transform is orthonormal).  Returns the full slab values (zero faces)
-    and SolveInfo."""
+    the terms (mu, K_x) and (lambda, M_x), built (or refused as too large)
+    before the rhs.  Its mode axis is a batch axis: the system stores only
+    the stencil rows of the base axes (the 5 of a symmetric K_x, else all
+    9, with M_x unfolded to match), never coarsens the modes into each
+    other, and has the base grid's iteration cap; its Galerkin levels are
+    summed from those of K_x and M_x.  Its residual is the slab residual
+    (the sine transform is orthonormal).  Returns the full slab values
+    (zero faces) and SolveInfo."""
     if system is None:
         system = mesh.assemble(field, slab.base)
     phi, lam, mu = sine_modes(slab)
-    q, ishape = len(phi), system.shape
-    mesh.check_stencil_fits(sparse.stored_rows(2, system.symmetric),
-                            q * system.n_rows)
+    blocks = sparse.batch_system(((mu, system), (lam, mass_2d(slab.base))))
     rhs = np.multiply.outer(phi[:, (slab.n_layers - 3) // 2],
                             mesh.load_delta(slab.base, y))
-    blocks = sparse.batch_system(((mu, system), (lam, mass_2d(slab.base))))
     u, info = sparse.solve(blocks, rhs.ravel(), rel_tol=rel_tol)
     full = np.zeros(slab.shape)
     full[1:-1, 1:-1, 1:-1] = np.einsum("kab,kj->abj",
-                                       u.reshape((q,) + ishape), phi)
+                                       u.reshape(blocks.shape), phi)
     return full, info
 
 

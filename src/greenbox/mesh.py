@@ -9,15 +9,14 @@ element entries into one row of the 3^d interior-node stencil (for a
 symmetric A, only the rows a symmetric ``SparseSystem`` stores).
 
 A is Z^d-periodic, so when p h is an integer the stencil row of an interior
-node depends only on its index mod p: ``assemble`` tiles the rows of one
-period cell (``cell_stencil``) over one period slab of the box.
+node depends only on its index mod p: ``assemble`` hands the rows of one
+period cell (``cell_stencil``) to ``sparse.tile``, which stores them.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import fields, sparse
 from .errors import ConfigError, SourcePlacementError
-from .sparse import SparseSystem, stencil_offsets
+from .sparse import SparseSystem
 
 # 2-point Gauss nodes on the reference interval [0, 1]; exact for the
 # bilinear basis with constant coefficients, O(h^2)-consistent for smooth A.
@@ -142,23 +141,6 @@ def even_steps(half_width, h):
     return int(round(steps))
 
 
-def physical_memory():
-    """Bytes of physical memory of the machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def check_stencil_fits(rows, nodes):
-    """Reject a stencil of ``rows`` stored rows (``sparse.stored_rows``)
-    over ``nodes`` stored nodes whose float64 data and float32 copy (12
-    bytes per entry) exceed physical memory."""
-    need = 12 * rows * nodes
-    have = physical_memory()
-    if need > have:
-        raise ConfigError(f"the stencil and its float32 copy need "
-                          f"{need / 2**30:.1f} GiB, more than the "
-                          f"{have / 2**30:.1f} GiB of memory")
-
-
 def _corner_offsets(d):
     """(2^d, d) array of local corner multi-offsets in C order."""
     return np.stack(np.meshgrid(*([np.array([0, 1])] * d), indexing="ij"),
@@ -193,8 +175,8 @@ def _assemble_axes(matrix_fn, axes, h, symmetric):
     come in batches of whole layers along axis 0.  Corner c_i of a batch's
     elements is a shifted sub-box of the nodes, so local corners (i, j) add
     one element sub-box into the stencil row of offset c_j - c_i, clipped to
-    the elements with both corners interior; when ``symmetric``, only the
-    rows from the centre on are stored and filled.  The fixed order
+    the elements with both corners interior, in the stored rows of a
+    ``SparseSystem.zeros`` (refused first if too large).  The fixed order
     (batch, i, j) leaves the output dependent on nothing but the batch size.
     """
     d = len(axes)
@@ -204,14 +186,14 @@ def _assemble_axes(matrix_fn, axes, h, symmetric):
     m = corners.shape[0]
     xi, gref = _reference_rules(d)
     nq = xi.shape[0]
-    rows = sparse.stored_rows(d, symmetric)
-    off_id = {tuple(o): k for k, o in enumerate(stencil_offsets(d)[-rows:])}
+    system = SparseSystem.zeros(ishape, symmetric)
+    off_id = {tuple(o): k for k, o in enumerate(system.offsets)}
+    data = system.data.reshape((len(system.data),) + ishape)
 
     # quadrature contraction tensor: P[(q,k,l), (i,j)]
     pairs = np.einsum("qki,qlj->qklij", gref, gref).reshape(nq * d * d, m * m)
     scale = h ** (d - 2) / (2**d)
 
-    data = np.zeros((rows,) + ishape)
     step = max(1, _BATCH // math.prod(eshape[1:]))
     for a in range(0, eshape[0], step):
         start = np.array([a] + [0] * (d - 1))
@@ -237,8 +219,7 @@ def _assemble_axes(matrix_fn, axes, h, symmetric):
                             for l, u, c in zip(lo, hi, ci))
                 els = tuple(slice(l - s, u - s) for l, u, s in zip(lo, hi, start))
                 data[(k,) + box] += elem[els + (i * m + j,)]
-
-    return SparseSystem(ishape, data.reshape(rows, -1), symmetric)
+    return system
 
 
 def cell_period(grid):
@@ -257,9 +238,9 @@ def cell_stencil(field, grid):
     frequency is not Z^d-periodic and is rejected.  The cell is
     ``grid.axis[:p + 4]`` along every axis: its interior rows 1..p see only
     cell nodes, so they are complete periodic rows.  Rolled by one node,
-    they come back as ``rows`` of shape (r, p^d), laid out as
-    ``SparseSystem.data`` on a (p,) * d grid (r = ``sparse.stored_rows``),
-    and box interior node j takes row j mod p on every axis.  When no
+    they come back as the r stored ``rows``, (r, p^d), laid out as
+    ``SparseSystem.data`` on a (p,) * d grid: the cell ``sparse.tile``
+    takes, so box interior node j reads row j mod p on every axis.  When no
     p <= n - 4 exists, p is None and ``rows`` is the stencil of the whole
     box, of shape (r, (n - 2)^d).
     """
@@ -285,26 +266,13 @@ def assemble(field, grid):
     """Stiffness matrix of -div(A grad .) over the grid's interior nodes.
 
     Relies on A being Z^d-periodic: the rows of one period cell
-    (``cell_stencil``) are tiled over ``sparse.slab_planes`` node planes
-    along axis 0, and the couplings to nodes off the grid are set to exactly
-    zero, except the axis-0 face couplings of a slab (see ``SparseSystem``).
-    The stored planes and their float32 copy must fit in memory
-    (``check_stencil_fits``) before anything is assembled.
+    (``cell_stencil``) are tiled over the box (``sparse.tile``).
     """
-    d, m, p = grid.dim, grid.n - 2, cell_period(grid)
-    q = m if p is None else sparse.slab_planes(p, (m,) * d)
-    symmetric = fields.is_symmetric(field)
-    check_stencil_fits(sparse.stored_rows(d, symmetric), q * m ** (d - 1))
     p, rows = cell_stencil(field, grid)
+    shape, symmetric = (grid.n - 2,) * grid.dim, fields.is_symmetric(field)
     if p is None:
-        return SparseSystem((m,) * d, rows, symmetric)
-    # one gather into C order: interior node j reads cell row j mod p
-    tile = [np.arange(q) % p] + [np.arange(m) % p] * (d - 1)
-    cell_of = np.ravel_multi_index(np.ix_(*tile), (p,) * d).ravel()
-    system = SparseSystem((m,) * d, rows.take(cell_of, axis=1), symmetric)
-    sparse.zero_faces(system.data.reshape((len(rows), q) + (m,) * (d - 1)),
-                      system.offsets, range(0 if q == m else 1, d))
-    return system
+        return SparseSystem(shape, rows, symmetric)
+    return sparse.tile(shape, rows, p, symmetric)
 
 
 def load_delta(grid, y):

@@ -49,17 +49,21 @@ block writes only its own nodes.
 Matvecs and inner products run in numpy's own fixed-order loops, never in
 BLAS, so runs with identical inputs are bitwise reproducible at any BLAS
 thread count.
-A periodic stencil may store only a slab of ``period`` node planes along
-axis 0 (see ``SparseSystem``): the fewest whole periods that cover _BLOCK
-nodes (``slab_planes``).  Its axis-0 face couplings then meet the zero
-padding of x and add +-0, which leaves y (never -0) bitwise unchanged, and
-a block never crosses a slab seam, so matvec may run more blocks than over
-the full layout, with the same output.
+Every stored layout is decided here; callers hand over rows.  ``tile``
+lays one period cell over a box in a slab of ``period`` node planes along
+axis 0 (see ``SparseSystem``), the fewest whole periods that cover _BLOCK
+nodes (``slab_planes``).  ``SparseSystem.zeros``, ``tile`` and
+``batch_system`` each run ``check_stencil_fits`` once, on the rows they
+allocate.  A slab's axis-0 face couplings meet the zero padding of x and
+add +-0, which leaves y (never -0) bitwise unchanged, and a block never
+crosses a slab seam, so matvec may run more blocks than over the full
+layout, with the same output.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -125,6 +129,10 @@ class SparseSystem:
     def __post_init__(self):
         if self.stencil_axes is None:
             self.stencil_axes = tuple(range(len(self.shape)))
+        axes, d = self.stencil_axes, len(self.shape)
+        if not axes or list(axes) != sorted(set(axes) & set(range(d))):
+            raise ConfigError(f"stencil axes {axes} are not distinct "
+                              f"ascending axes of {self.shape}")
         if not self.data.flags["C_CONTIGUOUS"]:
             raise ConfigError("stencil data must be C-contiguous")
         rows = stored_rows(len(self.stencil_axes), self.symmetric)
@@ -136,6 +144,13 @@ class SparseSystem:
         if rest or not 1 <= q <= self.shape[0]:
             raise ConfigError(f"stencil data of {self.data.shape[1]} nodes "
                               f"is not whole node planes of {self.shape}")
+
+    @classmethod
+    def zeros(cls, shape, symmetric):
+        """All-zero stencil over ``shape``, after ``check_stencil_fits``."""
+        rows, nodes = stored_rows(len(shape), symmetric), math.prod(shape)
+        check_stencil_fits(rows, nodes)
+        return cls(tuple(shape), np.zeros((rows, nodes)), symmetric)
 
     @cached_property
     def offsets(self):
@@ -210,14 +225,42 @@ class SparseSystem:
         ones = np.zeros(n + 2 * pad, self.data.dtype)
         ones[pad:pad + n] = 1.0
         w = np.zeros(n, self.data.dtype)
-        for ys, row, xs in _plan(self):
+        for ys, row, xs in self._plan:
             w[ys] += np.abs(row) * ones[xs]
         return np.divide(THETA, w, out=w)
 
     @cached_property
-    def _plans(self):
-        """matvec's multiply-adds (``_matvec_steps``) per block size."""
-        return {}
+    def _plan(self):
+        """``matvec``'s multiply-adds y[ys] += row * xp[xs], built once per
+        system (``row`` a view of the stencil, xp x padded by the largest
+        shift): per block (_BLOCK nodes at a time, restarted at each slab
+        seam), per stored row k in offset order, y_i += K_{i,i+o} x_{i+o},
+        then for a non-centre row of a symmetric stencil its transpose
+        y_i += K_{i-o,i} x_{i-o}, K_{i-o,i} read at node i - o modulo the
+        stored nodes (in at most two pieces); nodes i < o get nothing."""
+        n, size = self.n_rows, self.data.shape[1]
+        shifts = self.shifts.tolist()
+        pad = shifts[-1]
+        steps = []
+        blocks = ((a, min(a + _BLOCK, seam + size, n))
+                  for seam in range(0, n, size)
+                  for a in range(seam, min(seam + size, n), _BLOCK))
+        for a, b in blocks:
+            for k in range(len(self.data)):
+                s = shifts[k]
+                steps.append((slice(a, b),
+                              self.data[k, a % size:a % size + b - a],
+                              slice(pad + a + s, pad + b + s)))
+                if self.symmetric and k != self.centre:
+                    lo = max(a - s, 0)    # sources t = i - o of the block
+                    cut = min(b - s, (lo // size + 1) * size)
+                    for t0, t1 in ((lo, cut), (cut, b - s)):
+                        if t0 < t1:
+                            d0 = t0 % size
+                            steps.append((slice(t0 + s, t1 + s),
+                                          self.data[k, d0:d0 + t1 - t0],
+                                          slice(pad + t0, pad + t1)))
+        return tuple(steps)
 
     @cached_property
     def shifts(self):
@@ -258,7 +301,10 @@ class SparseSystem:
                        self.offsets).reshape(2 * len(box) - 1, -1)
 
     def diagonal(self):
-        return self.expanded()[self.centre]
+        """The centre row, which never leaves the grid, over every plane."""
+        p = self.period
+        return self.data[self.centre].reshape(p, -1).take(
+            np.arange(self.shape[0]) % p, axis=0).ravel()
 
     def to_dense(self):
         dense = np.zeros((self.n_rows, self.n_rows))
@@ -299,19 +345,48 @@ def _unfold(st, offsets):
     return full
 
 
-def _blocks(n, size, block):
-    """(start, stop) of the matvec blocks of n nodes whose stencil repeats
-    every ``size`` nodes: ``block`` nodes at a time, restarted at each seam."""
-    return tuple((a, min(a + block, s + size, n)) for s in range(0, n, size)
-                 for a in range(s, min(s + size, n), block))
-
-
 def slab_planes(p, shape):
     """Node planes along axis 0 to store of a stencil with period p there:
     the smallest multiple of p whose slab covers _BLOCK nodes, else the
     whole axis."""
     m, plane = shape[0], math.prod(shape[1:])
     return next((q for q in range(p, m, p) if q * plane >= _BLOCK), m)
+
+
+def tile(shape, cell, p, symmetric):
+    """The SparseSystem over ``shape`` whose node j takes row j mod p (on
+    every axis) of ``cell``, the rows of one period cell laid out as
+    ``data`` on a (p,) * d grid: all 3^d, or only the ``stored_rows``.  It
+    stores those on ``slab_planes`` node planes, once ``check_stencil_fits``
+    has passed them, and zeroes the couplings off the grid except a slab's
+    axis-0 faces."""
+    d, q = len(shape), slab_planes(p, shape)
+    rows = stored_rows(d, symmetric)
+    check_stencil_fits(rows, q * math.prod(shape[1:]))
+    index = np.ix_(np.arange(q) % p, *[np.arange(m) % p for m in shape[1:]])
+    cell_of = np.ravel_multi_index(index, (p,) * d).ravel()
+    system = SparseSystem(tuple(shape), cell[-rows:].take(cell_of, axis=1),
+                          symmetric)
+    zero_faces(system.data.reshape((rows, q) + tuple(shape[1:])),
+               system.offsets, range(0 if q == shape[0] else 1, d))
+    return system
+
+
+def physical_memory():
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_stencil_fits(rows, nodes):
+    """Reject ``rows`` stored rows over ``nodes`` nodes whose float64 data
+    and float32 copy (12 bytes per entry) exceed physical memory; each
+    allocation of stored rows runs it once, first."""
+    need = 12 * rows * nodes
+    have = physical_memory()
+    if need > have:
+        raise ConfigError(f"the stencil and its float32 copy need "
+                          f"{need / 2**30:.1f} GiB, more than the "
+                          f"{have / 2**30:.1f} GiB of memory")
 
 
 def matvec(system, x):
@@ -330,44 +405,9 @@ def matvec(system, x):
     xp = np.zeros(n + 2 * pad, dtype)
     xp[pad:pad + n] = x
     y = np.zeros(n, dtype)
-    for ys, row, xs in _plan(system):
+    for ys, row, xs in system._plan:
         y[ys] += row * xp[xs]
     return y
-
-
-def _plan(system):
-    """``_matvec_steps`` at the current _BLOCK, built once per system."""
-    return system._plans.get(_BLOCK) or system._plans.setdefault(
-        _BLOCK, _matvec_steps(system, _BLOCK))
-
-
-def _matvec_steps(system, block):
-    """The multiply-adds y[ys] += row * xp[xs] of ``matvec`` in order, with
-    ``row`` a view of the stencil and xp x padded by the largest shift: per
-    block of at most ``block`` nodes of one slab, per stored row k in
-    offset order, y_i += K_{i,i+o} x_{i+o}, then for a non-centre row of a
-    symmetric stencil its transpose y_i += K_{i-o,i} x_{i-o}, K_{i-o,i} read
-    at node i - o modulo the stored nodes (in at most two pieces); nodes
-    i < o, whose x_{i-o} is padding, get nothing."""
-    n, size = system.n_rows, system.data.shape[1]
-    shifts = system.shifts.tolist()
-    pad = shifts[-1]
-    steps = []
-    for a, b in _blocks(n, size, block):
-        for k in range(len(system.data)):
-            s = shifts[k]
-            steps.append((slice(a, b), system.data[k, a % size:a % size + b - a],
-                          slice(pad + a + s, pad + b + s)))
-            if system.symmetric and k != system.centre:
-                lo = max(a - s, 0)    # sources t = i - o of the block's nodes
-                cut = min(b - s, (lo // size + 1) * size)
-                for t0, t1 in ((lo, cut), (cut, b - s)):
-                    if t0 < t1:
-                        d0 = t0 % size
-                        steps.append((slice(t0 + s, t1 + s),
-                                      system.data[k, d0:d0 + t1 - t0],
-                                      slice(pad + t0, pad + t1)))
-    return tuple(steps)
 
 
 def _along(ax, index):
@@ -480,19 +520,23 @@ def batch_system(terms):
     ``terms`` are pairs (w_t, F_t) of q weights and a SparseSystem; all F_t
     couple every axis of one grid, and the system has shape (q,) + grid
     with batch axis 0.  Row k of block b is sum_t w_t[b] F_t[k] in term
-    order: the factors' stored rows when all are symmetric, else all 3^c
-    (``full_rows``).  P coarsens only the factor axes, so each Galerkin
-    level is the same sum over the float64 ``_chain`` levels of the
-    factors, rounded once to float32; no product runs over the q blocks,
-    whose chain would give the same levels up to round-off.  A factor
+    order, read in the full layout: the factors' stored rows
+    (``expanded``) when all are symmetric, else all 3^c (``full_rows``).
+    ``check_stencil_fits`` passes the block rows before anything is built.
+    P coarsens only the factor axes, so each Galerkin level is the same sum
+    over the float64 ``_chain`` levels of the factors, rounded once to
+    float32; no product runs over the q blocks, whose chain would give the
+    same levels up to round-off.  A factor
     without a ``hierarchy`` gets its chain rounded to float32 as one, so a
     later solve with the factor alone builds no chain.
     """
     weights, factors = zip(*terms)
     q, symmetric = len(weights[0]), all(f.symmetric for f in factors)
+    check_stencil_fits(stored_rows(len(factors[0].shape), symmetric),
+                       q * factors[0].n_rows)
 
-    def combine(levels):    # levels in the full layout
-        rows = [f.data if symmetric else f.full_rows() for f in levels]
+    def combine(levels):
+        rows = [f.expanded() if symmetric else f.full_rows() for f in levels]
         data = np.empty((len(rows[0]), q, levels[0].n_rows))
         for k, row in enumerate(data):
             np.multiply.outer(weights[0], rows[0][k], out=row)
@@ -501,12 +545,11 @@ def batch_system(terms):
         shape = (q,) + tuple(levels[0].shape)
         return SparseSystem(shape, data.reshape(len(data), -1), symmetric,
                             tuple(range(1, len(shape))))
-    full = [SparseSystem(f.shape, f.expanded(), f.symmetric) for f in factors]
-    chains = [tuple(_chain(f)) for f in full]
+    chains = [tuple(_chain(f)) for f in factors]
     for f, chain in zip(factors, chains):
         if "hierarchy" not in f.__dict__:
             f.hierarchy = tuple(level.single for level in chain)
-    system = combine(full)
+    system = combine(factors)
     system.hierarchy = tuple(combine(levels).single for levels in zip(*chains))
     return system
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from greenbox import (ConfigError, build_grid, green, green_column,
+from greenbox import (ConfigError, build_grid, fields, green, green_column,
                       make_field, verify)
 from greenbox.cli import dump_field, main, parse_config
 
@@ -102,6 +102,23 @@ def test_cli_field_info(tmp_path, capsys):
     assert main(["field-info", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert "diag_aniso" in out and "alpha_hat" in out
+
+
+def test_cli_field_info_seed_from_config_unless_flag(tmp_path, capsys,
+                                                     monkeypatch):
+    # the precedence verify gives its run keys: --seed, else the config's
+    seeds, check = [], fields.verify_periodicity
+
+    def recording(field, seed=0, **kwargs):
+        seeds.append(seed)
+        return check(field, seed=seed, **kwargs)
+    monkeypatch.setattr(fields, "verify_periodicity", recording)
+    cfg = write(tmp_path / "f.cfg", "family = scalar_trig\nseed = 5\n")
+    assert main(["field-info", "--config", cfg]) == 0
+    assert main(["field-info", "--config", cfg, "--seed", "3"]) == 0
+    bare = write(tmp_path / "bare.cfg", "family = scalar_trig\n")
+    assert main(["field-info", "--config", bare]) == 0
+    assert seeds == [5, 3, 0]
 
 
 def test_cli_verify_pass_and_report(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from greenbox import (ConfigError, SourcePlacementError, assemble, build_grid,
                       expand_interior, fields, gradient_field, load_delta,
-                      make_field, mesh, transpose_field)
+                      make_field, mesh, sparse, transpose_field)
 from greenbox.lift import assemble_lifted, build_slab, lifted_column
 from greenbox.sparse import stencil_offsets
 from oracles import validate
@@ -240,48 +240,90 @@ def test_gradient_bilinear_monomial():
     assert np.abs(grad[:, 0] - x[:, 1]).max() <= g.h
 
 
-def _no_assembly(*args, **kwargs):
-    pytest.fail("the oversized stencil reached assembly")
+def _fail(what):
+    def refused(*args, **kwargs):
+        pytest.fail(f"the oversized stencil reached {what}")
+    return refused
+
+
+class _NoGather(np.ndarray):
+    """Cell rows whose gather into a slab fails the test."""
+
+    def take(self, *args, **kwargs):
+        pytest.fail("the oversized slab was gathered")
 
 
 def test_oversized_grid_and_slab_rejected_before_allocation(monkeypatch):
-    # 1999^3 unknowns: even a slab of 1000 of the 1999 planes needs 14 * 12
-    # bytes per stored node, about 0.6 TiB for the stencil and its copy
-    monkeypatch.setattr(mesh, "_assemble_axes", _no_assembly)
+    # 1999^3 unknowns, period 1000: the period cell alone, 1002^3 nodes in
+    # 14 rows, needs about 0.2 TiB for the stencil and its float32 copy
+    base = build_grid(2, 1.0, 9)
+    K_x = assemble(make_field("scalar_trig", 2), base)
+    monkeypatch.setattr(fields, "evaluate", _fail("the coefficients"))
     with pytest.raises(ConfigError, match="stencil"):
         assemble(make_field("identity", 3), build_grid(3, 1.0, 2001))
+    # the lift block system (4 modes of 7 x 7 nodes in 5 rows) one byte
+    # short: refused before its rhs or any block row exists
+    monkeypatch.setattr(sparse, "physical_memory", lambda: 12 * 5 * 4 * 49 - 1)
+    monkeypatch.setattr(mesh, "load_delta", _fail("the rhs"))
+    monkeypatch.setattr(sparse, "_chain", _fail("the block rows"))
     with pytest.raises(ConfigError, match="stencil"):
-        build_slab(build_grid(2, 1.0, 2001), 1.0)
+        lifted_column(make_field("scalar_trig", 2), build_slab(base, 1.0),
+                      base.center_index, system=K_x)
 
 
 def test_memory_guard_charges_the_stored_slab_and_its_copy(monkeypatch):
     # the lift block system: 4 modes of 7 x 7 nodes in the 5 rows of a
-    # symmetric field, which build_slab charges and lifted_column stores;
-    # a nonsymmetric field's 9 rows are charged before they are allocated
+    # symmetric field, which lifted_column stores; a nonsymmetric field's 9
+    # rows are charged before they are allocated
     blocks = 5 * 4 * 7 ** 2
     base = build_grid(2, 1.0, 9)
     y = base.center_index
-    monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * blocks)
     slab = build_slab(base, 1.0)
+    monkeypatch.setattr(sparse, "physical_memory", lambda: 12 * blocks)
     lifted_column(make_field("scalar_trig", 2), slab, y)
     with pytest.raises(ConfigError, match="stencil"):
         lifted_column(make_field("nonsym_skew", 2), slab, y)
-    monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * 9 * 4 * 7 ** 2)
+    monkeypatch.setattr(sparse, "physical_memory", lambda: 12 * 9 * 4 * 7 ** 2)
     lifted_column(make_field("nonsym_skew", 2), slab, y)
-    monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * blocks - 1)
-    with pytest.raises(ConfigError, match="stencil"):
-        build_slab(base, 1.0)
+    # the slab grid allocates nothing, so it is charged nothing
+    monkeypatch.setattr(sparse, "physical_memory", lambda: 0)
+    assert build_slab(base, 1.0).n_layers == 9
     # the 14 rows of a symmetric 27-point stencil on 16 of the 63 planes
     g, f = build_grid(3, 2.0, 65), make_field("scalar_trig", 3)
     stored = 14 * 16 * 63 ** 2
     assert 8 * 27 * 63 ** 3 > 12 * stored    # the full stencil would not fit
-    monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * stored)
+    monkeypatch.setattr(sparse, "physical_memory", lambda: 12 * stored)
     K = assemble(f, g)
     assert K.data.nbytes + K.single.data.nbytes == 12 * stored
-    monkeypatch.setattr(mesh, "physical_memory", lambda: 12 * stored - 1)
-    monkeypatch.setattr(mesh, "_assemble_axes", _no_assembly)
+    # one byte short: the period cell is assembled, the slab never gathered
+    monkeypatch.setattr(sparse, "physical_memory", lambda: 12 * stored - 1)
+    cells, cell_stencil = [], mesh.cell_stencil
+
+    def cell_rows(field, grid):
+        p, rows = cell_stencil(field, grid)
+        cells.append(p)
+        return p, rows.view(_NoGather)
+    monkeypatch.setattr(mesh, "cell_stencil", cell_rows)
     with pytest.raises(ConfigError, match="stencil and its float32 copy"):
         assemble(f, g)
+    assert cells == [16]
+
+
+def test_each_allocation_of_stored_rows_is_charged_once(monkeypatch):
+    # (rows, nodes) of every guard call, each on what it then allocates
+    charged = []
+    monkeypatch.setattr(sparse, "check_stencil_fits",
+                        lambda rows, nodes: charged.append((rows, nodes)))
+    base = build_grid(2, 1.0, 9)    # period 4: a 6 x 6 cell on 7 x 7 nodes
+    lifted_column(make_field("scalar_trig", 2), build_slab(base, 1.0),
+                  base.center_index)
+    # the cell, K_x tiled from it, M_x tiled from its period-1 cell (never
+    # assembled) and the 4 mode blocks
+    assert charged == [(5, 36), (5, 49), (5, 49), (5, 4 * 49)]
+    charged.clear()
+    # no period fits the box: the whole box is assembled, and only that
+    assemble(make_field("nonsym_skew", 2), build_grid(2, 1.5, 65))
+    assert charged == [(9, 63 ** 2)]
 
 
 def _lifted(field):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -470,9 +471,13 @@ def test_blocked_matvec_seams_are_bitwise_the_full_loop(monkeypatch, block):
         systems += [_random_stencil(coarsest.shape, rng,
                                     coarsest.stencil_axes, symmetric),
                     _random_stencil(coarsest.shape, rng, None, symmetric)]
+    default = [len(system._plan) for system in systems]
     # 1: a seam after every node; 3 and 100: a partial last block on each
     monkeypatch.setattr(sparse, "_BLOCK", block)
-    for system in systems:
+    for system, steps in zip(systems, default):
+        # a system builds its plan once, so only a fresh one runs the block
+        system = dataclasses.replace(system)
+        assert (len(system._plan) > steps) == (system.n_rows > block)
         assert validate(system)
         x = rng.standard_normal(system.n_rows)
         x[::3] = -0.0
@@ -558,10 +563,14 @@ def _check_half_layout(K, monkeypatch):
                                sparse.THETA / np.abs(dense).sum(axis=1),
                                rtol=1e-14)
     # 1: a seam after every node; 3 and 100: transposes that read across a
-    # block's start, and across a slab seam into the slab before it
+    # block's start, and across a slab seam into the slab before it; a
+    # system builds its plan once, so each block runs on a fresh one
+    steps = len(K._plan)
     for block in (1, 3, 100):
         monkeypatch.setattr(sparse, "_BLOCK", block)
-        assert matvec(K, x).tobytes() == _full_loop(K, x).tobytes()
+        fresh = dataclasses.replace(K)
+        assert len(fresh._plan) > steps
+        assert matvec(fresh, x).tobytes() == _full_loop(K, x).tobytes()
 
 
 @pytest.mark.parametrize("family", ["identity", "scalar_trig", "diag_aniso"])
@@ -669,6 +678,15 @@ def test_stencil_data_of_partial_or_surplus_planes_rejected():
             SparseSystem((7, 7), np.ones((5, nodes)), True)
     assert SparseSystem((7, 7), np.ones((5, 49)), True).period == 7
     assert SparseSystem((7, 7), np.ones((5, 7)), True).period == 1
+
+
+def test_malformed_stencil_axes_rejected():
+    # reversed, repeated, off the grid and none: not distinct ascending axes
+    for axes in ((2, 1), (1, 1), (1, 5), ()):
+        with pytest.raises(ConfigError, match="stencil axes"):
+            SparseSystem((3, 5, 5), np.ones((5, 75)), True, axes)
+    assert SparseSystem((3, 5, 5), np.ones((5, 75)), True,
+                        (1, 2)).offsets[:, 0].tolist() == [0] * 5
 
 
 def test_nnz_counts_the_on_grid_couplings_of_the_coupled_rows():
