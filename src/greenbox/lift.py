@@ -95,8 +95,8 @@ def mass_2d(base):
     """Q1 mass matrix M_1 (x) M_1 over a 2D grid's interior nodes: the
     period-1 cell m_a m_b at offset (a, b), m = h (1, 4, 1) / 6."""
     m1 = base.h * np.array([1.0, 4.0, 1.0]) / 6.0
-    return sparse.tile((base.n - 2,) * 2,
-                       np.multiply.outer(m1, m1).reshape(9, 1), 1, True)
+    return sparse.tile((base.n - 2,) * 2, 1, True,
+                       lambda: np.multiply.outer(m1, m1).reshape(9, 1))
 
 
 def lifted_column(field, slab, y, *, system=None, rel_tol=1e-10):

@@ -231,18 +231,34 @@ def cell_period(grid):
     return int(hits[0]) + 1 if hits.size else None
 
 
-def cell_stencil(field, grid):
-    """Period in nodes and stiffness rows of one period cell of the grid.
+def cell_stencil(field, grid, p):
+    """Stiffness rows of the grid's period cell of p nodes (``cell_period``).
 
-    p is ``cell_period(grid)``; a ``scalar_trig`` field with a non-integer
-    frequency is not Z^d-periodic and is rejected.  The cell is
-    ``grid.axis[:p + 4]`` along every axis: its interior rows 1..p see only
-    cell nodes, so they are complete periodic rows.  Rolled by one node,
-    they come back as the r stored ``rows``, (r, p^d), laid out as
+    The cell is ``grid.axis[:p + 4]`` along every axis: its interior rows
+    1..p see only cell nodes, so they are complete periodic rows.  Rolled by
+    one node, they come back as the r stored rows, (r, p^d), laid out as
     ``SparseSystem.data`` on a (p,) * d grid: the cell ``sparse.tile``
-    takes, so box interior node j reads row j mod p on every axis.  When no
-    p <= n - 4 exists, p is None and ``rows`` is the stencil of the whole
-    box, of shape (r, (n - 2)^d).
+    takes, so box interior node j reads row j mod p on every axis.  When p
+    is None, the whole box is assembled and its SparseSystem returned.
+    """
+    d = grid.dim
+    axis = grid.axis if p is None else grid.axis[:p + 4]
+    system = _assemble_axes(lambda pts: fields.evaluate(field, pts),
+                            [axis] * d, grid.h, fields.is_symmetric(field))
+    if p is None:
+        return system
+    rows = system.data.reshape((len(system.data),) + system.shape)
+    cell = rows[(slice(None),) + (slice(1, p + 1),) * d]
+    return np.roll(cell, 1, axis=tuple(range(1, d + 1))).reshape(len(rows), -1)
+
+
+def assemble(field, grid):
+    """Stiffness matrix of -div(A grad .) over the grid's interior nodes.
+
+    Relies on A being Z^d-periodic (a ``scalar_trig`` field with a
+    non-integer frequency is not, and is rejected): ``sparse.tile`` charges
+    the stored slab, then tiles the rows of one period cell
+    (``cell_stencil``) over the box.
     """
     if field.dim != grid.dim:
         raise ConfigError(
@@ -250,29 +266,11 @@ def cell_stencil(field, grid):
     if field.family == "scalar_trig" and not field.params[2].is_integer():
         raise ConfigError(f"scalar_trig freq must be an integer for a "
                           f"Z^d-periodic A, got {field.params[2]}")
-    d, p = grid.dim, cell_period(grid)
-    axis = grid.axis if p is None else grid.axis[:p + 4]
-    system = _assemble_axes(lambda pts: fields.evaluate(field, pts),
-                            [axis] * d, grid.h, fields.is_symmetric(field))
+    p = cell_period(grid)
     if p is None:
-        return None, system.data
-    rows = system.data.reshape((len(system.data),) + system.shape)
-    cell = rows[(slice(None),) + (slice(1, p + 1),) * d]
-    return p, np.roll(cell, 1, axis=tuple(range(1, d + 1))).reshape(
-        len(rows), -1)
-
-
-def assemble(field, grid):
-    """Stiffness matrix of -div(A grad .) over the grid's interior nodes.
-
-    Relies on A being Z^d-periodic: the rows of one period cell
-    (``cell_stencil``) are tiled over the box (``sparse.tile``).
-    """
-    p, rows = cell_stencil(field, grid)
-    shape, symmetric = (grid.n - 2,) * grid.dim, fields.is_symmetric(field)
-    if p is None:
-        return SparseSystem(shape, rows, symmetric)
-    return sparse.tile(shape, rows, p, symmetric)
+        return cell_stencil(field, grid, None)
+    return sparse.tile((grid.n - 2,) * grid.dim, p, fields.is_symmetric(field),
+                       lambda: cell_stencil(field, grid, p))
 
 
 def load_delta(grid, y):

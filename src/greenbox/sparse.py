@@ -54,10 +54,11 @@ lays one period cell over a box in a slab of ``period`` node planes along
 axis 0 (see ``SparseSystem``), the fewest whole periods that cover _BLOCK
 nodes (``slab_planes``).  ``SparseSystem.zeros``, ``tile`` and
 ``batch_system`` each run ``check_stencil_fits`` once, on the rows they
-allocate.  A slab's axis-0 face couplings meet the zero padding of x and
-add +-0, which leaves y (never -0) bitwise unchanged, and a block never
-crosses a slab seam, so matvec may run more blocks than over the full
-layout, with the same output.
+allocate, and ``tile`` runs it before the cell is built.  A slab's axis-0
+face couplings meet the zero padding of x and add +-0, which leaves y
+(never -0) bitwise unchanged, and a block never crosses a slab seam, so
+matvec may run more blocks than over the full layout, with the same
+output.
 """
 
 from __future__ import annotations
@@ -353,19 +354,20 @@ def slab_planes(p, shape):
     return next((q for q in range(p, m, p) if q * plane >= _BLOCK), m)
 
 
-def tile(shape, cell, p, symmetric):
+def tile(shape, p, symmetric, cell):
     """The SparseSystem over ``shape`` whose node j takes row j mod p (on
-    every axis) of ``cell``, the rows of one period cell laid out as
+    every axis) of ``cell()``, the rows of one period cell laid out as
     ``data`` on a (p,) * d grid: all 3^d, or only the ``stored_rows``.  It
-    stores those on ``slab_planes`` node planes, once ``check_stencil_fits``
-    has passed them, and zeroes the couplings off the grid except a slab's
-    axis-0 faces."""
+    stores those on ``slab_planes`` node planes, and calls ``cell`` only
+    once ``check_stencil_fits`` has passed them; the couplings off the grid
+    are zeroed except a slab's axis-0 faces."""
     d, q = len(shape), slab_planes(p, shape)
     rows = stored_rows(d, symmetric)
     check_stencil_fits(rows, q * math.prod(shape[1:]))
+    stored = cell()[-rows:]
     index = np.ix_(np.arange(q) % p, *[np.arange(m) % p for m in shape[1:]])
     cell_of = np.ravel_multi_index(index, (p,) * d).ravel()
-    system = SparseSystem(tuple(shape), cell[-rows:].take(cell_of, axis=1),
+    system = SparseSystem(tuple(shape), stored.take(cell_of, axis=1),
                           symmetric)
     zero_faces(system.data.reshape((rows, q) + tuple(shape[1:])),
                system.offsets, range(0 if q == shape[0] else 1, d))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from greenbox import (ConfigError, build_grid, fields, green, green_column,
-                      make_field, verify)
+                      make_field, sparse, verify)
 from greenbox.cli import dump_field, main, parse_config
 
 
@@ -187,6 +187,10 @@ def test_cli_oversized_grid_rejected_before_allocation(tmp_path, capsys,
     def allocating(*args, **kwargs):
         pytest.fail("the oversized grid reached the solver")
     monkeypatch.setattr(green, "green_column", allocating)
+    monkeypatch.setattr(fields, "evaluate", allocating)
+    # R = 2, period 500: 32 GiB holds the period cell's 502^3 nodes in 14
+    # rows (19.8 GiB), not the slab's 500 planes of 1999^2 nodes
+    monkeypatch.setattr(sparse, "physical_memory", lambda: 32 * 2**30)
     cfg = write(tmp_path / "solve.cfg", "family = identity\ndim = 3\nn = 2001\n")
     assert main(["solve", "--config", cfg]) == 2
     err = capsys.readouterr().err

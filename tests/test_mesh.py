@@ -246,13 +246,6 @@ def _fail(what):
     return refused
 
 
-class _NoGather(np.ndarray):
-    """Cell rows whose gather into a slab fails the test."""
-
-    def take(self, *args, **kwargs):
-        pytest.fail("the oversized slab was gathered")
-
-
 def test_oversized_grid_and_slab_rejected_before_allocation(monkeypatch):
     # 1999^3 unknowns, period 1000: the period cell alone, 1002^3 nodes in
     # 14 rows, needs about 0.2 TiB for the stencil and its float32 copy
@@ -295,18 +288,13 @@ def test_memory_guard_charges_the_stored_slab_and_its_copy(monkeypatch):
     monkeypatch.setattr(sparse, "physical_memory", lambda: 12 * stored)
     K = assemble(f, g)
     assert K.data.nbytes + K.single.data.nbytes == 12 * stored
-    # one byte short: the period cell is assembled, the slab never gathered
+    # one byte short: the slab is refused before any coefficient of its
+    # period cell (charged 12 * 14 * 18^3 bytes) is evaluated
+    assert 12 * 14 * 18 ** 3 < 12 * stored - 1
     monkeypatch.setattr(sparse, "physical_memory", lambda: 12 * stored - 1)
-    cells, cell_stencil = [], mesh.cell_stencil
-
-    def cell_rows(field, grid):
-        p, rows = cell_stencil(field, grid)
-        cells.append(p)
-        return p, rows.view(_NoGather)
-    monkeypatch.setattr(mesh, "cell_stencil", cell_rows)
+    monkeypatch.setattr(fields, "evaluate", _fail("the coefficients"))
     with pytest.raises(ConfigError, match="stencil and its float32 copy"):
         assemble(f, g)
-    assert cells == [16]
 
 
 def test_each_allocation_of_stored_rows_is_charged_once(monkeypatch):
@@ -317,9 +305,9 @@ def test_each_allocation_of_stored_rows_is_charged_once(monkeypatch):
     base = build_grid(2, 1.0, 9)    # period 4: a 6 x 6 cell on 7 x 7 nodes
     lifted_column(make_field("scalar_trig", 2), build_slab(base, 1.0),
                   base.center_index)
-    # the cell, K_x tiled from it, M_x tiled from its period-1 cell (never
-    # assembled) and the 4 mode blocks
-    assert charged == [(5, 36), (5, 49), (5, 49), (5, 4 * 49)]
+    # K_x's slab, then the cell it is tiled from, M_x tiled from its
+    # period-1 cell (never assembled) and the 4 mode blocks
+    assert charged == [(5, 49), (5, 36), (5, 49), (5, 4 * 49)]
     charged.clear()
     # no period fits the box: the whole box is assembled, and only that
     assemble(make_field("nonsym_skew", 2), build_grid(2, 1.5, 65))
@@ -403,9 +391,11 @@ def test_assembler_nonsymmetric_variable_coefficient(lengths):
     (3, 2.0, 65, 16), (2, 3.0, 65, 32), (3, 3.0, 33, 16), (3, 2.0, 33, 8),
     (2, 1.5, 65, None)])  # h = 3/64 needs p = 64 > n - 4: the box itself
 def test_cell_stencil_period(dim, R, n, period):
-    p, rows = mesh.cell_stencil(make_field("scalar_trig", dim),
-                                build_grid(dim, R, n))
+    g = build_grid(dim, R, n)
+    p = mesh.cell_period(g)
     assert p == period
+    cell = mesh.cell_stencil(make_field("scalar_trig", dim), g, p)
+    rows = cell.data if p is None else cell
     # the (3^d + 1) / 2 rows of a symmetric stencil
     assert rows.shape == ((3**dim + 1) // 2, (period or n - 2) ** dim)
 
@@ -423,8 +413,7 @@ def test_near_period_is_assembled_whole():
     # largest entry, above the solver tolerance, so the box is assembled whole
     g = build_grid(2, 1.0 + 1e-10, 129)
     f = make_field("scalar_trig", 2)
-    p, rows = mesh.cell_stencil(f, g)
-    assert p is None
+    assert mesh.cell_period(g) is None
     direct = mesh._assemble_axes(lambda pts: fields.evaluate(f, pts),
                                  [g.axis] * 2, g.h, fields.is_symmetric(f))
     assert np.array_equal(assemble(f, g).data, direct.data)

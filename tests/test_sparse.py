@@ -656,7 +656,8 @@ def test_slab_planes_are_the_fewest_periods_covering_a_block(p, shape,
 def test_non_contiguous_stencil_data_rejected(monkeypatch):
     g = build_grid(3, 1.0, 9)
     f = make_field("scalar_trig", 3)
-    p, rows = mesh.cell_stencil(f, g)
+    p = mesh.cell_period(g)
+    rows = mesh.cell_stencil(f, g, p)
     tile = np.arange(7) % p
     strided = rows.reshape((len(rows),) + (p,) * 3)[
         (slice(None),) + np.ix_(tile, tile, tile)].reshape(len(rows), -1)
