@@ -305,9 +305,10 @@ def gradient_field(values, grid):
     """
     d, shape, h = grid.dim, grid.shape, grid.h
     v = np.asarray(values, dtype=float).reshape(shape)
-    cell_grad = []
+    out = np.zeros(shape + (d,))
     for k in range(d):
-        diff = (np.diff(v, axis=k)) / h
+        diff = np.diff(v, axis=k)
+        diff /= h
         # average the axis-k differences over the remaining corner pairs
         for j in range(d):
             if j == k:
@@ -316,13 +317,12 @@ def gradient_field(values, grid):
             hi = [slice(None)] * d
             lo[j] = slice(0, -1)
             hi[j] = slice(1, None)
-            diff = 0.5 * (diff[tuple(lo)] + diff[tuple(hi)])
-        cell_grad.append(diff)  # shape: one less node per axis
-    out = np.zeros(shape + (d,))
-    for corner in _corner_offsets(d):
-        sl = tuple(slice(c, c + s - 1) for c, s in zip(corner, shape))
-        for k in range(d):
-            out[sl + (k,)] += cell_grad[k]
+            diff = diff[tuple(lo)] + diff[tuple(hi)]
+            diff *= 0.5
+        # one less node per axis: spread to the cell's corners
+        for corner in _corner_offsets(d):
+            sl = tuple(slice(c, c + s - 1) for c, s in zip(corner, shape))
+            out[sl + (k,)] += diff
     # cells meeting at a node: the product over axes of 1 at a face, else 2
     per_axis = np.full(grid.n, 2.0)
     per_axis[[0, -1]] = 1.0

@@ -52,13 +52,14 @@ thread count.
 Every stored layout is decided here; callers hand over rows.  ``tile``
 lays one period cell over a box in a slab of ``period`` node planes along
 axis 0 (see ``SparseSystem``), the fewest whole periods that cover _BLOCK
-nodes (``slab_planes``).  ``SparseSystem.zeros``, ``tile`` and
-``batch_system`` each run ``check_stencil_fits`` once, on the rows they
-allocate, and ``tile`` runs it before the cell is built.  A slab's axis-0
-face couplings meet the zero padding of x and add +-0, which leaves y
-(never -0) bitwise unchanged, and a block never crosses a slab seam, so
-matvec may run more blocks than over the full layout, with the same
-output.
+nodes (``slab_planes``), and keeps the cell: P^T K P of a periodic K is
+periodic, so each Galerkin level is formed on the cell of the level above
+and tiled alike.  ``SparseSystem.zeros``, ``tile`` and ``batch_system``
+each run ``check_stencil_fits`` once, first, on the rows they allocate.
+A slab's axis-0 face couplings meet the zero padding of x and add +-0,
+which leaves y (never -0) bitwise unchanged, and a block never crosses a
+slab seam, so matvec may run more blocks than over the full layout, with
+the same output.
 """
 
 from __future__ import annotations
@@ -118,14 +119,16 @@ class SparseSystem:
     plane j mod period.  Entries whose neighbour is off the grid are exactly
     zero, except the periodic axis-0 face couplings of a slab
     (period < shape[0]).  The diagonal (centre row) is positive (coercivity
-    of the discrete form).  The ``symmetric`` flag is set by the assembler
-    from the coefficient family.
+    of the discrete form).  A system laid out by ``tile`` keeps its
+    ``cell``, (rows, p): the stored rows of its period cell, unzeroed, and
+    the period p per axis, so that node j reads row j mod p of ``rows``.
     """
 
     shape: tuple
     data: np.ndarray
     symmetric: bool
     stencil_axes: tuple = None
+    cell: tuple = None
 
     def __post_init__(self):
         if self.stencil_axes is None:
@@ -196,12 +199,12 @@ class SparseSystem:
     @cached_property
     def hierarchy(self):
         """Galerkin coarse levels P^T K P in float32, coarsest last: the
-        float64 levels of ``_chain``, each rounded once; only the rounded
-        levels stay.  Empty when no stencil axis coarsens: the
+        float64 levels of ``_chain``, each ``tile``d from its period cell
+        (a slab wherever ``slab_planes`` gives one) and rounded once; only
+        the rounded levels stay.  Empty when no stencil axis coarsens: the
         preconditioner is then l1-Jacobi smoothing alone.  ``batch_system``
         sets it on the systems it builds and on their factors from the
-        factors' chains.
-        """
+        factors' chains."""
         return tuple(level.single for level in _chain(self))
 
     @cached_property
@@ -354,22 +357,24 @@ def slab_planes(p, shape):
     return next((q for q in range(p, m, p) if q * plane >= _BLOCK), m)
 
 
-def tile(shape, p, symmetric, cell):
-    """The SparseSystem over ``shape`` whose node j takes row j mod p (on
-    every axis) of ``cell()``, the rows of one period cell laid out as
-    ``data`` on a (p,) * d grid: all 3^d, or only the ``stored_rows``.  It
-    stores those on ``slab_planes`` node planes, and calls ``cell`` only
-    once ``check_stencil_fits`` has passed them; the couplings off the grid
-    are zeroed except a slab's axis-0 faces."""
-    d, q = len(shape), slab_planes(p, shape)
-    rows = stored_rows(d, symmetric)
+def tile(shape, p, symmetric, cell, stencil_axes=None):
+    """The SparseSystem over ``shape`` whose node j takes row j mod p of
+    ``cell()``, the rows of one period cell (p per axis, or an int for every
+    axis) laid out as ``data`` on a grid of shape p: all 3^c, or only the
+    ``stored_rows``, which it keeps as ``cell``.  It stores them on
+    ``slab_planes`` node planes, calls ``cell`` only once
+    ``check_stencil_fits`` has passed those, and zeroes the couplings off
+    the grid except a slab's axis-0 faces."""
+    d, p = len(shape), (p,) * len(shape) if isinstance(p, int) else tuple(p)
+    q = slab_planes(p[0], shape)
+    rows = stored_rows(len(stencil_axes or shape), symmetric)
     check_stencil_fits(rows, q * math.prod(shape[1:]))
     stored = cell()[-rows:]
-    index = np.ix_(np.arange(q) % p, *[np.arange(m) % p for m in shape[1:]])
-    cell_of = np.ravel_multi_index(index, (p,) * d).ravel()
-    system = SparseSystem(tuple(shape), stored.take(cell_of, axis=1),
-                          symmetric)
-    zero_faces(system.data.reshape((rows, q) + tuple(shape[1:])),
+    index = np.ix_(*[np.arange(m) % k for m, k in zip((q,) + shape[1:], p)])
+    system = SparseSystem(shape, stored.take(
+        np.ravel_multi_index(index, p).ravel(), axis=1), symmetric,
+        stencil_axes, (stored, p))
+    zero_faces(system.data.reshape((rows, q) + shape[1:]),
                system.offsets, range(0 if q == shape[0] else 1, d))
     return system
 
@@ -458,33 +463,33 @@ _COLUMN_WEIGHTS = {-2: ((-1, 1.0),), -1: ((-1, 0.5), (0, 0.5)),
 
 
 def _galerkin(system):
-    """The coarse stencil P^T K P, one coarsened axis at a time.
+    """The coarse stencil P^T K P, formed on the period cell and ``tile``d.
 
     P is the tensor product of 1D interpolations, so P^T K P is the 1D
-    Galerkin product applied along each coarsened axis in turn; the offsets
-    along the other axes ride along unchanged, and the coarse level keeps
-    the stencil axes and the layout (all 3^c rows, or the symmetric half) of
-    the fine one.  Every coarse row is formed: a symmetric stencil is
-    unfolded to all 3^c rows on the planes read, and the coarse one keeps
-    its forward half, so it is exactly symmetric.  A slab with coarse
-    period p_c (p, or p / 2 at even p) below the coarse axis 0 gives p_c
-    coarse planes from fine planes 0..2 p_c read modulo p (and plane -1,
-    whose rows unfold onto plane 0), others are widened first; the coarse
-    level is widened to the full layout."""
-    d = len(system.shape)
-    axes = system.coarse_axes
-    p, m = system.period, system.shape[0]
-    pc = p if p % 2 else p // 2
-    wrap = p < m and 0 in axes and pc < (m - 1) // 2
-    kept = len(system.data)
-    if wrap:
-        planes = np.arange(-1 if system.symmetric else 0, 2 * pc + 1) % p
-        st = system.data.reshape((kept, p) + tuple(system.shape[1:])).take(
-            planes, axis=1)
-        if system.symmetric:
-            st = _unfold(st, system.offsets)[:, 1:]
+    Galerkin product along each coarsened axis in turn; the offsets and
+    periods along the other axes ride along, and the coarse level keeps the
+    stencil axes and stored rows of the fine one.  The cell is ``cell``,
+    else the full-layout box padded by a zero node past each coarsened
+    axis.  Coarse node J sits on fine node 2J + 1, so a coarsened period p
+    gives p_c = p (odd) or p / 2 (even), formed from fine nodes 0..2 p_c
+    modulo p; a symmetric stencil is unfolded with one more node at each
+    end, then dropped, so the coarse one is exactly symmetric.  A coarse
+    coupling on the grid reads only fine ones on the grid, so a wrapped or
+    padded value lands only where ``tile`` zeroes."""
+    d, axes, kept = len(system.shape), system.coarse_axes, len(system.data)
+    if system.cell:
+        cell, p = system.cell
     else:
-        st = system.full_rows().reshape((-1,) + tuple(system.shape))
+        cell = np.pad(system.expanded().reshape((kept,) + system.shape),
+                      [(0, 0)] + [(0, int(k in axes)) for k in range(d)])
+        p = cell.shape[1:]
+    pc = [q if q % 2 or k not in axes else q // 2 for k, q in enumerate(p)]
+    h = int(system.symmetric)
+    take = [np.arange(-h, (2 * c + 1 if k in axes else c) + h) % q
+            for k, (q, c) in enumerate(zip(p, pc))]
+    st = cell.reshape((kept,) + tuple(p))[np.ix_(np.arange(kept), *take)]
+    if system.symmetric:
+        st = _unfold(st, system.offsets)[(slice(None),) + (slice(1, -1),) * d]
     dims = tuple(3 if k in system.stencil_axes else 1 for k in range(d))
     st = st.reshape(dims + st.shape[1:])
     for ax in axes:
@@ -497,15 +502,10 @@ def _galerkin(system):
                 for A, w_col in _COLUMN_WEIGHTS[s + a]:
                     coarse[A + 1] += (w_row * w_col) * rows[a + 1]
         st = np.moveaxis(coarse, (0, 1), (ax, d + ax))
-    nodes = st.shape[d:]
-    st = st.reshape((-1,) + nodes)
-    data = np.ascontiguousarray(st[len(st) - kept:])
-    zero_faces(data, system.offsets, axes[1:] if wrap else axes)
-    shape = ((m - 1) // 2,) + nodes[1:] if wrap else nodes
-    level = SparseSystem(shape, data.reshape(kept, -1), system.symmetric,
-                         system.stencil_axes)
-    return SparseSystem(shape, level.expanded(), system.symmetric,
-                        system.stencil_axes)
+    shape = tuple((m - 1) // 2 if k in axes else m
+                  for k, m in enumerate(system.shape))
+    return tile(shape, pc, system.symmetric,
+                lambda: st.reshape(math.prod(dims), -1), system.stencil_axes)
 
 
 def _chain(system):
@@ -526,12 +526,11 @@ def batch_system(terms):
     (``expanded``) when all are symmetric, else all 3^c (``full_rows``).
     ``check_stencil_fits`` passes the block rows before anything is built.
     P coarsens only the factor axes, so each Galerkin level is the same sum
-    over the float64 ``_chain`` levels of the factors, rounded once to
-    float32; no product runs over the q blocks, whose chain would give the
-    same levels up to round-off.  A factor
-    without a ``hierarchy`` gets its chain rounded to float32 as one, so a
-    later solve with the factor alone builds no chain.
-    """
+    over the float64 ``_chain`` levels of the factors (tiled, and read in
+    the full layout alike), rounded once to float32; no product runs over
+    the q blocks, whose chain would give the same levels up to round-off.
+    A factor without a ``hierarchy`` gets its chain rounded to float32 as
+    one, so a later solve with the factor alone builds no chain."""
     weights, factors = zip(*terms)
     q, symmetric = len(weights[0]), all(f.symmetric for f in factors)
     check_stencil_fits(stored_rows(len(factors[0].shape), symmetric),

@@ -306,8 +306,10 @@ def test_each_allocation_of_stored_rows_is_charged_once(monkeypatch):
     lifted_column(make_field("scalar_trig", 2), build_slab(base, 1.0),
                   base.center_index)
     # K_x's slab, then the cell it is tiled from, M_x tiled from its
-    # period-1 cell (never assembled) and the 4 mode blocks
-    assert charged == [(5, 49), (5, 36), (5, 49), (5, 4 * 49)]
+    # period-1 cell (never assembled), the 4 mode blocks, then the tiled
+    # Galerkin levels of K_x and of M_x, 3 x 3 and 1 x 1 nodes each
+    assert charged == [(5, 49), (5, 36), (5, 49), (5, 4 * 49),
+                       (5, 9), (5, 1), (5, 9), (5, 1)]
     charged.clear()
     # no period fits the box: the whole box is assembled, and only that
     assemble(make_field("nonsym_skew", 2), build_grid(2, 1.5, 65))

@@ -11,7 +11,7 @@ import greenbox
 from greenbox import (ConfigError, ConvergenceError, SparseSystem, assemble,
                       build_grid, lift, load_delta, make_field, matvec, mesh,
                       solve, sparse)
-from oracles import dense_solve, validate
+from oracles import dense_solve, galerkin_chain, validate
 
 
 def from_dense(mat, symmetric=None):
@@ -542,8 +542,46 @@ def test_slab_is_bitwise_the_full_layout(monkeypatch, dim, R, n, family,
     assert len(slab.data) == sparse.stored_rows(dim, full.symmetric)
     assert validate(slab)
     assert slab.expanded().tobytes() == full.data.tobytes()
-    # every coarse level keeps the full layout: its period is compared too
+    # the coarse levels are tiled from their cells in both layouts (none is
+    # a slab here): their periods are compared too
     assert _layout_results(slab, g) == expected
+
+
+# (dim, R, n, family, block, planes): grids whose every stored level is
+# checked against the box product of the reference chain; ``planes`` is the
+# number of node planes that the first coarse level stores (a slab at 3D
+# n = 129, p = 8: 12 of 63)
+CELL_PRODUCTS = [(3, 2.0, 65, "scalar_trig", None, 31),
+                 (3, 2.0, 65, "diag_aniso", None, 31),
+                 (3, 8.0, 129, "scalar_trig", None, 12),
+                 (2, 4.0, 129, "scalar_trig", None, 63),
+                 (2, 4.0, 129, "nonsym_skew", None, 63),
+                 (2, 4.0, 257, "scalar_trig", None, 127),
+                 (2, 4.0, 257, "nonsym_skew", None, 127),
+                 # no period fits the box: the padded box is the cell
+                 (2, 1.5, 65, "scalar_trig", None, 31),
+                 (2, 1.5, 65, "nonsym_skew", None, 31),
+                 (3, 1.5, 33, "scalar_trig", None, 15),
+                 # odd p = 3 on a 3-plane slab: p_c = 3, above the coarse m
+                 (2, 3.0, 19, "scalar_trig", 3 * 17, 8),
+                 (2, 1.0, 7, "scalar_trig", 3 * 5, 2)]
+
+
+@pytest.mark.parametrize("dim,R,n,family,block,planes", CELL_PRODUCTS)
+def test_cell_levels_are_bitwise_the_box_product(monkeypatch, dim, R, n,
+                                                 family, block, planes):
+    g = build_grid(dim, R, n)
+    if block:
+        monkeypatch.setattr(sparse, "_BLOCK", block)
+    K = assemble(make_field(family, dim), g)
+    assert K.hierarchy[0].period == planes
+    chain = list(sparse._chain(K))
+    assert all(level.cell is not None and validate(level) for level in chain)
+    reference = [level.single for level in galerkin_chain(K)]
+    assert [(lv.shape, lv.expanded().tobytes(), lv.smoother.tobytes())
+            for lv in K.hierarchy] == \
+        [(lv.shape, lv.data.tobytes(), lv.smoother.tobytes())
+         for lv in reference]
 
 
 def _check_half_layout(K, monkeypatch):
@@ -886,6 +924,14 @@ def test_stencil_invariants_on_assembled_systems():
             for broken in (K.data[:, 1:], off_grid, -K.data):
                 with pytest.raises(ConfigError):
                     validate(SparseSystem(K.shape, broken, K.symmetric))
+            # a positive diagonal entry on the grid that is not its cell
+            # row; 2D n = 9 tiles a period of 4, and no period fits 3D n = 5
+            assert (K.cell is None) == (dim == 3)
+            if K.cell is not None:
+                drifted = K.data.copy()
+                drifted[K.centre, 0] *= 2.0
+                with pytest.raises(ConfigError, match="cell"):
+                    validate(dataclasses.replace(K, data=drifted))
 
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (5,), (1, 4), (2, 3),
