@@ -66,8 +66,9 @@ def build_slab(base, t_half_width):
 
 def assemble_lifted(field, slab):
     """Q1 stiffness of -div_x(A grad_x u) - d_t^2 u over the slab interior:
-    the 3D assembler with coefficient diag(A(x1, x2), 1), bitwise equal to it
-    at A = identity.  Only tests call it, as the oracle of lifted_column."""
+    the 3D assembler with coefficient diag(A(x1, x2), 1) on the slab's own
+    torus, bitwise equal to it at A = identity.  Only tests call it, as the
+    oracle of lifted_column."""
     if field.dim != 2:
         raise ConfigError("assemble_lifted expects a 2D field")
 
@@ -76,8 +77,9 @@ def assemble_lifted(field, slab):
         out[..., :2, :2] = fields.evaluate(field, pts[..., :2])
         out[..., 2, 2] = 1.0
         return out
-    return mesh._assemble_axes(matrix_fn, slab.axes, slab.h,
-                               symmetric=fields.is_symmetric(field))
+    return mesh.assemble_tiled(matrix_fn, slab.axes, slab.h,
+                               [len(x) - 1 for x in slab.axes],
+                               fields.is_symmetric(field))
 
 
 def sine_modes(slab):

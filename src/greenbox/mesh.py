@@ -4,13 +4,13 @@ Grids are uniform tensor products on [-R, R]^d with homogeneous Dirichlet
 boundary; the discrete operator is assembled from the weak form
 K_ij = int (grad phi_i)^T A grad phi_j with multilinear nodal basis
 functions and tensor 2-point Gauss quadrature.  Boundary nodes are
-eliminated: each pair of local element corners adds a shifted sub-box of
-element entries into one row of the 3^d interior-node stencil (for a
-symmetric A, only the rows a symmetric ``SparseSystem`` stores).
+eliminated.
 
 A is Z^d-periodic, so when p h is an integer the stencil row of an interior
-node depends only on its index mod p: ``assemble`` hands the rows of one
-period cell (``cell_stencil``) to ``sparse.tile``, which stores them.
+node is its row on the torus of p nodes per axis.  ``assemble`` assembles
+that torus, clipping nothing, and hands its rows to ``sparse.tile``, which
+alone sets the couplings that leave the box to 0.0.  With no such p < n - 1,
+the box is its own torus of n - 1 nodes, closed through its boundary node.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 
 from . import fields, sparse
 from .errors import ConfigError, SourcePlacementError
-from .sparse import SparseSystem
 
 # 2-point Gauss nodes on the reference interval [0, 1]; exact for the
 # bilinear basis with constant coefficients, O(h^2)-consistent for smooth A.
@@ -167,98 +166,80 @@ def _reference_rules(d):
     return xi, grad
 
 
-def _assemble_axes(matrix_fn, axes, h, symmetric):
-    """Interior-node stiffness matrix on a uniform tensor grid.
+def _torus_rows(matrix_fn, lows, h, symmetric):
+    """Stored stiffness rows, (rows, prod p), of the torus of p =
+    len(lows[k]) nodes along axis k, laid out as ``SparseSystem.data``.
 
-    ``axes`` holds per-axis node coordinates with common spacing ``h``;
-    ``matrix_fn`` maps (M, d) points to (M, d, d) coefficients.  Elements
-    come in batches of whole layers along axis 0.  Corner c_i of a batch's
-    elements is a shifted sub-box of the nodes, so local corners (i, j) add
-    one element sub-box into the stencil row of offset c_j - c_i, clipped to
-    the elements with both corners interior, in the stored rows of a
-    ``SparseSystem.zeros`` (refused first if too large).  The fixed order
-    (batch, i, j) leaves the output dependent on nothing but the batch size.
+    Element e spans torus nodes e and e + 1 mod p and has its lower corner
+    at ``lows[k][e_k]``; ``matrix_fn`` maps (M, d) points to (M, d, d)
+    coefficients.  Elements come in batches of whole layers along axis 0,
+    and local corners (i, j) add the batch's element box, shifted by c_i
+    mod p, into the row of offset c_j - c_i, so every element adds its full
+    matrix.  ``check_stencil_fits`` runs before the rows are allocated.
+    The fixed order (batch, i, j) leaves them dependent on nothing but the
+    batch size.
     """
-    d = len(axes)
-    eshape = tuple(len(a) - 1 for a in axes)
-    ishape = tuple(e - 1 for e in eshape)
-    corners = _corner_offsets(d)
-    m = corners.shape[0]
-    xi, gref = _reference_rules(d)
-    nq = xi.shape[0]
-    system = SparseSystem.zeros(ishape, symmetric)
-    off_id = {tuple(o): k for k, o in enumerate(system.offsets)}
-    data = system.data.reshape((len(system.data),) + ishape)
+    d, p = len(lows), tuple(len(low) for low in lows)
+    corners, (xi, gref) = _corner_offsets(d), _reference_rules(d)
+    m, nq = len(corners), len(xi)
+    rows = sparse.stored_rows(d, symmetric)
+    sparse.check_stencil_fits(rows, math.prod(p))
+    data = np.zeros((rows,) + p)
+    off_id = {tuple(o): k for k, o in
+              enumerate(sparse.stencil_offsets(d)[3 ** d - rows:])}
 
     # quadrature contraction tensor: P[(q,k,l), (i,j)]
     pairs = np.einsum("qki,qlj->qklij", gref, gref).reshape(nq * d * d, m * m)
     scale = h ** (d - 2) / (2**d)
 
-    step = max(1, _BATCH // math.prod(eshape[1:]))
-    for a in range(0, eshape[0], step):
-        start = np.array([a] + [0] * (d - 1))
-        stop = np.array([min(a + step, eshape[0])] + list(eshape[1:]))
-        lows = np.meshgrid(axes[0][a:stop[0]], *[x[:-1] for x in axes[1:]],
-                           indexing="ij", sparse=True)
+    step = max(1, _BATCH // math.prod(p[1:]))
+    for a in range(0, p[0], step):
+        layers = np.arange(a, min(a + step, p[0]))
+        low = np.meshgrid(lows[0][layers], *lows[1:], indexing="ij",
+                          sparse=True)
         qpts = np.stack(np.broadcast_arrays(
-            *(low[..., None] + h * xi[:, k] for k, low in enumerate(lows))), axis=-1)
+            *(x[..., None] + h * xi[:, k] for k, x in enumerate(low))), axis=-1)
         amat = matrix_fn(qpts.reshape(-1, d)).reshape(-1, nq * d * d)
         elem = (amat @ pairs).reshape(qpts.shape[:d] + (m * m,))
         elem *= scale
         for i, ci in enumerate(corners):
             for j, cj in enumerate(corners):
                 k = off_id.get(tuple(cj - ci))
-                if k is None:
-                    continue
-                # elements e of the batch with e + c_i and e + c_j interior
-                lo = np.maximum(1 - np.minimum(ci, cj), start)
-                hi = np.minimum(np.array(eshape) - np.maximum(ci, cj), stop)
-                if lo[0] >= hi[0]:
-                    continue
-                box = tuple(slice(l + c - 1, u + c - 1)
-                            for l, u, c in zip(lo, hi, ci))
-                els = tuple(slice(l - s, u - s) for l, u, s in zip(lo, hi, start))
-                data[(k,) + box] += elem[els + (i * m + j,)]
-    return system
+                if k is not None:
+                    data[k, (layers + ci[0]) % p[0]] += np.roll(
+                        elem[..., i * m + j], tuple(ci[1:]),
+                        tuple(range(1, d)))
+    return data.reshape(rows, -1)
+
+
+def assemble_tiled(matrix_fn, axes, h, p, symmetric):
+    """The SparseSystem over the interior of the grid with node coordinates
+    ``axes`` (spacing h), ``sparse.tile``d from ``_torus_rows`` at p[k]
+    nodes along axis k.  Torus node t is grid node t + 1, so element
+    e < p - 1 has its lower corner at grid node e + 1, and element p - 1 at
+    grid node 0, one period before grid node p.  At p = n - 1 the torus is
+    the box itself, closed through its boundary node p - 1, whose rows are
+    never read; otherwise A must have period p h."""
+    lows = [np.roll(x[:q], -1) for x, q in zip(axes, p)]
+    return sparse.tile(tuple(len(x) - 2 for x in axes), tuple(p), symmetric,
+                       lambda: _torus_rows(matrix_fn, lows, h, symmetric))
 
 
 def cell_period(grid):
-    """The smallest p <= n - 4 with p h an integer to 1e-12 (tiling treats
-    p h as exact), or None."""
-    cycles = grid.h * np.arange(1, grid.n - 3)
+    """The smallest p < n - 1 with p h an integer to 1e-12 (tiling treats
+    p h as exact), else n - 1, the box closed through its boundary node."""
+    cycles = grid.h * np.arange(1, grid.n - 1)
     hits = np.flatnonzero((np.abs(cycles - np.rint(cycles)) <= 1e-12)
                           & (np.rint(cycles) >= 1))
-    return int(hits[0]) + 1 if hits.size else None
-
-
-def cell_stencil(field, grid, p):
-    """Stiffness rows of the grid's period cell of p nodes (``cell_period``).
-
-    The cell is ``grid.axis[:p + 4]`` along every axis: its interior rows
-    1..p see only cell nodes, so they are complete periodic rows.  Rolled by
-    one node, they come back as the r stored rows, (r, p^d), laid out as
-    ``SparseSystem.data`` on a (p,) * d grid: the cell ``sparse.tile``
-    takes, so box interior node j reads row j mod p on every axis.  When p
-    is None, the whole box is assembled and its SparseSystem returned.
-    """
-    d = grid.dim
-    axis = grid.axis if p is None else grid.axis[:p + 4]
-    system = _assemble_axes(lambda pts: fields.evaluate(field, pts),
-                            [axis] * d, grid.h, fields.is_symmetric(field))
-    if p is None:
-        return system
-    rows = system.data.reshape((len(system.data),) + system.shape)
-    cell = rows[(slice(None),) + (slice(1, p + 1),) * d]
-    return np.roll(cell, 1, axis=tuple(range(1, d + 1))).reshape(len(rows), -1)
+    return int(hits[0]) + 1 if hits.size else grid.n - 1
 
 
 def assemble(field, grid):
     """Stiffness matrix of -div(A grad .) over the grid's interior nodes.
 
     Relies on A being Z^d-periodic (a ``scalar_trig`` field with a
-    non-integer frequency is not, and is rejected): ``sparse.tile`` charges
-    the stored slab, then tiles the rows of one period cell
-    (``cell_stencil``) over the box.
+    non-integer frequency is not, and is rejected): the box is tiled from
+    its torus of ``cell_period`` nodes per axis (``assemble_tiled``).
     """
     if field.dim != grid.dim:
         raise ConfigError(
@@ -266,11 +247,10 @@ def assemble(field, grid):
     if field.family == "scalar_trig" and not field.params[2].is_integer():
         raise ConfigError(f"scalar_trig freq must be an integer for a "
                           f"Z^d-periodic A, got {field.params[2]}")
-    p = cell_period(grid)
-    if p is None:
-        return cell_stencil(field, grid, None)
-    return sparse.tile((grid.n - 2,) * grid.dim, p, fields.is_symmetric(field),
-                       lambda: cell_stencil(field, grid, p))
+    return assemble_tiled(lambda pts: fields.evaluate(field, pts),
+                          [grid.axis] * grid.dim, grid.h,
+                          (cell_period(grid),) * grid.dim,
+                          fields.is_symmetric(field))
 
 
 def load_delta(grid, y):

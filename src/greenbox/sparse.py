@@ -54,8 +54,9 @@ lays one period cell over a box in a slab of ``period`` node planes along
 axis 0 (see ``SparseSystem``), the fewest whole periods that cover _BLOCK
 nodes (``slab_planes``), and keeps the cell: P^T K P of a periodic K is
 periodic, so each Galerkin level is formed on the cell of the level above
-and tiled alike.  ``SparseSystem.zeros``, ``tile`` and ``batch_system``
-each run ``check_stencil_fits`` once, first, on the rows they allocate.
+and tiled alike.  ``tile`` and ``batch_system`` each run
+``check_stencil_fits`` once, first, on the rows they allocate, as
+``mesh`` does on the torus rows it assembles.
 A slab's axis-0 face couplings meet the zero padding of x and add +-0,
 which leaves y (never -0) bitwise unchanged, and a block never crosses a
 slab seam, so matvec may run more blocks than over the full layout, with
@@ -148,13 +149,6 @@ class SparseSystem:
         if rest or not 1 <= q <= self.shape[0]:
             raise ConfigError(f"stencil data of {self.data.shape[1]} nodes "
                               f"is not whole node planes of {self.shape}")
-
-    @classmethod
-    def zeros(cls, shape, symmetric):
-        """All-zero stencil over ``shape``, after ``check_stencil_fits``."""
-        rows, nodes = stored_rows(len(shape), symmetric), math.prod(shape)
-        check_stencil_fits(rows, nodes)
-        return cls(tuple(shape), np.zeros((rows, nodes)), symmetric)
 
     @cached_property
     def offsets(self):
@@ -468,12 +462,12 @@ def _galerkin(system):
     P is the tensor product of 1D interpolations, so P^T K P is the 1D
     Galerkin product along each coarsened axis in turn; the offsets and
     periods along the other axes ride along, and the coarse level keeps the
-    stencil axes and stored rows of the fine one.  The cell is ``cell``,
-    else the full-layout box padded by a zero node past each coarsened
-    axis.  Coarse node J sits on fine node 2J + 1, so a coarsened period p
-    gives p_c = p (odd) or p / 2 (even), formed from fine nodes 0..2 p_c
-    modulo p; a symmetric stencil is unfolded with one more node at each
-    end, then dropped, so the coarse one is exactly symmetric.  A coarse
+    stencil axes and stored rows of the fine one.  The cell is ``cell``, else
+    (hand-built and block systems) the box padded by a zero node past each
+    coarsened axis.  Coarse node J sits on fine node 2J + 1, so a coarsened
+    period p gives p_c = p (odd) or p / 2 (even), formed from fine nodes
+    0..2 p_c modulo p; a symmetric stencil is unfolded with one more node at
+    each end, then dropped, so the coarse one is exactly symmetric.  A coarse
     coupling on the grid reads only fine ones on the grid, so a wrapped or
     padded value lands only where ``tile`` zeroes."""
     d, axes, kept = len(system.shape), system.coarse_axes, len(system.data)

@@ -125,7 +125,8 @@ def checks_decay3d(families=DECAY_FAMILIES, R=2.0, n=65, rel_tol=1e-10,
             anchor="G_R = C r^(2-d) - const(R) on the box, C domain-independent",
             passed=ok,
             measured=meas,
-            expected={"rel_rms": 0.02, "corrected_exponent": -1.0, "tol": 0.05},
+            expected={"rel_rms": 0.02, "corrected_exponent": -1.0, "tol": 0.05,
+                      "amplitude_tol": 0.03 if fam == "identity" else None},
             details="two-parameter fit with the exponent pinned at 2-d"))
 
         gmag = np.linalg.norm(mesh.gradient_field(col.values, grid), axis=1)
@@ -325,9 +326,11 @@ def checks_lorentz(seed=0):
         passed=exact_ok,
         measured={"weak": rep.weak, "lp": rep.lp, "lpb": rep.lp_minus_beta,
                   "c_corrected": rep.c_corrected, "c_inverted": rep.c_inverted,
+                  "lower_ok": rep.lower_ok, "upper_ok": rep.upper_ok,
                   "inverted_holds": rep.inverted_lower_ok},
-        expected={"c_corrected": 0.5, "c_inverted": 2.0,
-                  "inverted_holds": False},
+        expected={"weak": 1.0, "lp": 1.0, "lpb": 1.0, "c_corrected": 0.5,
+                  "c_inverted": 2.0, "tol": 1e-12, "lower_ok": True,
+                  "upper_ok": True, "inverted_holds": False},
         details="f = 1 on unit measure at p = 2, beta = 1"))
 
     rng = np.random.default_rng(seed)
@@ -439,7 +442,7 @@ def _simpson(f, a, b, n):
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return float((b - a) / (3.0 * n) * (w @ f(x)))
+    return float((b - a) / (3.0 * n) * np.einsum("i,i->", w, f(x)))
 
 
 def checks_lift(R=1.0, rel_tol=1e-10):
@@ -475,7 +478,8 @@ def checks_lift(R=1.0, rel_tol=1e-10):
                       "monotone_in_kappa": rep.monotone_in_kappa,
                       "slab_iterations": rep.slab_iterations,
                       "slab_residual": rep.slab_residual},
-            expected={"rel_l2": tol},
+            expected={"rel_l2": tol, "positive": True,
+                      "monotone_in_kappa": True},
             details=f"kappa = {kappa}, base n = 33"))
 
     field = fields.make_field("identity", 2)

@@ -247,8 +247,8 @@ def _fail(what):
 
 
 def test_oversized_grid_and_slab_rejected_before_allocation(monkeypatch):
-    # 1999^3 unknowns, period 1000: the period cell alone, 1002^3 nodes in
-    # 14 rows, needs about 0.2 TiB for the stencil and its float32 copy
+    # 1999^3 unknowns, period 1000: the period torus alone, 1000^3 nodes in
+    # 14 rows, needs about 0.15 TiB for the stencil and its float32 copy
     base = build_grid(2, 1.0, 9)
     K_x = assemble(make_field("scalar_trig", 2), base)
     monkeypatch.setattr(fields, "evaluate", _fail("the coefficients"))
@@ -289,8 +289,8 @@ def test_memory_guard_charges_the_stored_slab_and_its_copy(monkeypatch):
     K = assemble(f, g)
     assert K.data.nbytes + K.single.data.nbytes == 12 * stored
     # one byte short: the slab is refused before any coefficient of its
-    # period cell (charged 12 * 14 * 18^3 bytes) is evaluated
-    assert 12 * 14 * 18 ** 3 < 12 * stored - 1
+    # period torus (charged 12 * 14 * 16^3 bytes) is evaluated
+    assert 12 * 14 * 16 ** 3 < 12 * stored - 1
     monkeypatch.setattr(sparse, "physical_memory", lambda: 12 * stored - 1)
     monkeypatch.setattr(fields, "evaluate", _fail("the coefficients"))
     with pytest.raises(ConfigError, match="stencil and its float32 copy"):
@@ -302,18 +302,19 @@ def test_each_allocation_of_stored_rows_is_charged_once(monkeypatch):
     charged = []
     monkeypatch.setattr(sparse, "check_stencil_fits",
                         lambda rows, nodes: charged.append((rows, nodes)))
-    base = build_grid(2, 1.0, 9)    # period 4: a 6 x 6 cell on 7 x 7 nodes
+    base = build_grid(2, 1.0, 9)    # period 4: a 4 x 4 torus on 7 x 7 nodes
     lifted_column(make_field("scalar_trig", 2), build_slab(base, 1.0),
                   base.center_index)
-    # K_x's slab, then the cell it is tiled from, M_x tiled from its
+    # K_x's slab, then the torus it is tiled from, M_x tiled from its
     # period-1 cell (never assembled), the 4 mode blocks, then the tiled
     # Galerkin levels of K_x and of M_x, 3 x 3 and 1 x 1 nodes each
-    assert charged == [(5, 49), (5, 36), (5, 49), (5, 4 * 49),
+    assert charged == [(5, 49), (5, 16), (5, 49), (5, 4 * 49),
                        (5, 9), (5, 1), (5, 9), (5, 1)]
     charged.clear()
-    # no period fits the box: the whole box is assembled, and only that
+    # no period fits the box: the slab (the whole box), then the box's own
+    # torus of 64 nodes per axis
     assemble(make_field("nonsym_skew", 2), build_grid(2, 1.5, 65))
-    assert charged == [(9, 63 ** 2)]
+    assert charged == [(9, 63 ** 2), (9, 64 ** 2)]
 
 
 def _lifted(field):
@@ -346,17 +347,28 @@ def _element_reference(matrix_fn, axes, h):
     return dense
 
 
+def _box(matrix_fn, axes, h, symmetric):
+    """The whole box, assembled as its own torus of n - 1 nodes per axis."""
+    return mesh.assemble_tiled(matrix_fn, axes, h,
+                               [len(x) - 1 for x in axes], symmetric)
+
+
 def _assert_matches(K, ref):
     assert validate(K)  # off-grid stencil entries stay exactly zero
     assert np.abs(ref).max() > 0
     assert np.abs(K.to_dense() - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("dim,n", [(2, 7), (3, 5)])
+# tori of p = 3 (2D n = 7) and p = 2 (3D n = 5), then p = 1 (h = 1), p = 2
+# in 2D and boxes with no period (h = 3/8), closed through their boundary node
+@pytest.mark.parametrize("dim,n,R", [
+    (2, 7, 1.0), (3, 5, 1.0), (2, 5, 2.0), (3, 5, 2.0), (2, 5, 1.0),
+    (2, 9, 1.5), (3, 9, 1.5)], ids=["2-7", "3-5", "2-5-p1", "3-5-p1",
+                                    "2-5-p2", "2-9-box", "3-9-box"])
 @pytest.mark.parametrize("family",
                          ["identity", "scalar_trig", "diag_aniso", "nonsym_skew"])
-def test_assembler_matches_element_reference(dim, n, family):
-    g = build_grid(dim, 1.0, n)
+def test_assembler_matches_element_reference(dim, n, R, family):
+    g = build_grid(dim, R, n)
     f = make_field(family, dim)
     _assert_matches(assemble(f, g), _element_reference(
         lambda pts: fields.evaluate(f, pts), [g.axis] * dim, g.h))
@@ -383,7 +395,7 @@ def test_assembler_nonsymmetric_variable_coefficient(lengths):
         return out
     h = 0.3
     axes = [h * np.arange(n) - 0.7 for n in lengths]
-    K = mesh._assemble_axes(matrix_fn, axes, h, symmetric=False)
+    K = _box(matrix_fn, axes, h, symmetric=False)
     ref = _element_reference(matrix_fn, axes, h)
     assert np.abs(ref - ref.T).max() > 1e-3 * np.abs(ref).max()
     _assert_matches(K, ref)
@@ -391,15 +403,15 @@ def test_assembler_nonsymmetric_variable_coefficient(lengths):
 
 @pytest.mark.parametrize("dim,R,n,period", [
     (3, 2.0, 65, 16), (2, 3.0, 65, 32), (3, 3.0, 33, 16), (3, 2.0, 33, 8),
-    (2, 1.5, 65, None)])  # h = 3/64 needs p = 64 > n - 4: the box itself
+    (2, 1.5, 65, None)])  # h = 3/64 needs p = 64 = n - 1: the box itself
 def test_cell_stencil_period(dim, R, n, period):
     g = build_grid(dim, R, n)
-    p = mesh.cell_period(g)
-    assert p == period
-    cell = mesh.cell_stencil(make_field("scalar_trig", dim), g, p)
-    rows = cell.data if p is None else cell
+    p = period or n - 1
+    assert mesh.cell_period(g) == p
+    rows, cell = assemble(make_field("scalar_trig", dim), g).cell
+    assert cell == (p,) * dim
     # the (3^d + 1) / 2 rows of a symmetric stencil
-    assert rows.shape == ((3**dim + 1) // 2, (period or n - 2) ** dim)
+    assert rows.shape == ((3**dim + 1) // 2, p ** dim)
 
 
 def test_assemble_rejects_a_scalar_trig_field_of_period_two():
@@ -415,9 +427,9 @@ def test_near_period_is_assembled_whole():
     # largest entry, above the solver tolerance, so the box is assembled whole
     g = build_grid(2, 1.0 + 1e-10, 129)
     f = make_field("scalar_trig", 2)
-    assert mesh.cell_period(g) is None
-    direct = mesh._assemble_axes(lambda pts: fields.evaluate(f, pts),
-                                 [g.axis] * 2, g.h, fields.is_symmetric(f))
+    assert mesh.cell_period(g) == g.n - 1
+    direct = _box(lambda pts: fields.evaluate(f, pts), [g.axis] * 2, g.h,
+                  fields.is_symmetric(f))
     assert np.array_equal(assemble(f, g).data, direct.data)
 
 
@@ -429,8 +441,8 @@ def test_tiled_assembly_matches_direct(dim, R, n, family):
     g = build_grid(dim, R, n)
     f = make_field(family, dim)
     K = assemble(f, g)
-    direct = mesh._assemble_axes(lambda pts: fields.evaluate(f, pts),
-                                 [g.axis] * dim, g.h, fields.is_symmetric(f))
+    direct = _box(lambda pts: fields.evaluate(f, pts), [g.axis] * dim, g.h,
+                  fields.is_symmetric(f))
     assert validate(K)
     assert K.data.flags["C_CONTIGUOUS"]  # strided rows would slow every matvec
     assert K.symmetric == direct.symmetric
@@ -448,7 +460,7 @@ def test_assemble_evaluates_one_period_cell(monkeypatch):
     monkeypatch.setattr(fields, "evaluate", counting)
     g = build_grid(3, 2.0, 33)  # h = 1/8: period p = 8 of 31 interior nodes
     assemble(make_field("scalar_trig", 3), g)
-    assert sum(seen) == 8 * (8 + 3) ** 3  # not 8 * 32^3 for the whole box
+    assert sum(seen) == 8 * 8 ** 3  # not 8 * 32^3 for the whole box
 
 
 def test_batch_seams_match_single_batch(monkeypatch):

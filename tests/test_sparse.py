@@ -240,6 +240,9 @@ import greenbox as gb
 g = gb.build_grid(3, 1.0, 33)
 col = gb.green_column(gb.make_field("scalar_trig", 3), g, g.center_index)
 print(col.iterations, hashlib.sha256(col.values.tobytes()).hexdigest())
+# the quadrature of the lift.arctan_kernel check, a dot over 1,000,001 nodes
+print(repr(gb.verify._simpson(lambda t: 1.0 / (1.0 + t**2), -100.0, 100.0,
+                              1_000_000)))
 """
 
 
@@ -694,8 +697,7 @@ def test_slab_planes_are_the_fewest_periods_covering_a_block(p, shape,
 def test_non_contiguous_stencil_data_rejected(monkeypatch):
     g = build_grid(3, 1.0, 9)
     f = make_field("scalar_trig", 3)
-    p = mesh.cell_period(g)
-    rows = mesh.cell_stencil(f, g, p)
+    rows, (p, *_) = assemble(f, g).cell
     tile = np.arange(7) % p
     strided = rows.reshape((len(rows),) + (p,) * 3)[
         (slice(None),) + np.ix_(tile, tile, tile)].reshape(len(rows), -1)
@@ -925,13 +927,12 @@ def test_stencil_invariants_on_assembled_systems():
                 with pytest.raises(ConfigError):
                     validate(SparseSystem(K.shape, broken, K.symmetric))
             # a positive diagonal entry on the grid that is not its cell
-            # row; 2D n = 9 tiles a period of 4, and no period fits 3D n = 5
-            assert (K.cell is None) == (dim == 3)
-            if K.cell is not None:
-                drifted = K.data.copy()
-                drifted[K.centre, 0] *= 2.0
-                with pytest.raises(ConfigError, match="cell"):
-                    validate(dataclasses.replace(K, data=drifted))
+            # row; 2D n = 9 tiles a period of 4, and 3D n = 5 one of 2
+            assert K.cell[1] == (4 if dim == 2 else 2,) * dim
+            drifted = K.data.copy()
+            drifted[K.centre, 0] *= 2.0
+            with pytest.raises(ConfigError, match="cell"):
+                validate(dataclasses.replace(K, data=drifted))
 
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (5,), (1, 4), (2, 3),
