@@ -1,11 +1,12 @@
-"""Command-line front end.
+"""Command-line front end: one command per job.
 
-Verbs: field-info, solve, dump, verify, and the check aliases decay, lorentz
-and lift.  Flags: --config <path>, --preset <name>, --out <dir>, --seed <int>.
-
-Configs are flat ``key = value`` text files ('#' starts a comment).  The
-check verbs write a JSON report and exit 0 when every check passed, 1 when
-a violation was found, and 2 on usage or configuration errors.
+field-info checks a coefficient field, solve computes one Green column (with
+--out, as CSV) and verify runs check presets into report.json.  Configs are
+flat ``key = value`` text files ('#' starts a comment).  A command refuses a
+key or flag that ``COMMANDS`` does not list for it, an empty value and a
+repeated key, before any work starts.  Exit codes: 0 passed, 1 a violation
+found (verify) or a non-periodic field (field-info), 2 a usage or
+configuration error.
 """
 
 from __future__ import annotations
@@ -24,12 +25,6 @@ import numpy as np
 from . import __version__, fields, green, mesh, verify
 from .errors import ConfigError, ConvergenceError
 
-CONFIG_KEYS = {
-    "dim", "family", "params", "alpha", "bound", "holder_exponent",
-    "R", "n", "source", "experiments", "rel_tol", "max_iter",
-    "eta", "radii_count", "quantity", "seed",
-}
-
 
 def parse_config(path):
     """Parse a flat key = value file into a dict of strings."""
@@ -46,6 +41,10 @@ def parse_config(path):
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in CONFIG_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if not value:
+                    raise ConfigError(f"{path}:{lineno}: {key} has no value")
+                if key in out:
+                    raise ConfigError(f"{path}:{lineno}: {key} is set twice")
                 out[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -56,17 +55,9 @@ def _field_from_config(cfg):
     dim = int(cfg.get("dim", 2))
     family = cfg.get("family", "identity")
     params = None
-    if cfg.get("params"):
+    if "params" in cfg:
         params = [float(p) for p in cfg["params"].split(",")]
-    field = fields.make_field(family, dim, params)
-    # declared-constant overrides are cross-checked by field-info, not trusted
-    overrides = {}
-    for key in ("alpha", "bound", "holder_exponent"):
-        if cfg.get(key):
-            overrides[key] = float(cfg[key])
-    if overrides:
-        field = dataclasses.replace(field, **overrides)
-    return field
+    return fields.make_field(family, dim, params)
 
 
 def _column_from_config(cfg):
@@ -76,10 +67,10 @@ def _column_from_config(cfg):
     n = int(cfg.get("n", 65 if field.dim == 3 else 129))
     grid = mesh.build_grid(field.dim, R, n)
     y = grid.center_index
-    if cfg.get("source"):
+    if "source" in cfg:
         y = grid.node_at([float(c) for c in cfg["source"].split(",")])
     kwargs = {"rel_tol": float(cfg.get("rel_tol", 1e-10))}
-    if cfg.get("max_iter"):
+    if "max_iter" in cfg:
         kwargs["max_iter"] = int(cfg["max_iter"])
     # assembled here, so that an oversized grid stops before the solver
     return green.green_column(field, grid, y,
@@ -141,15 +132,16 @@ def write_report(checks, elapsed, out_dir, preset):
 
 
 def cmd_field_info(cfg, args):
-    field = _field_from_config(cfg)
+    # declared-constant overrides are cross-checked here, not trusted
+    field = dataclasses.replace(_field_from_config(cfg), **{
+        key: float(cfg[key]) for key in ("alpha", "bound") if key in cfg})
     print(f"family           {field.family}")
     print(f"dimension        {field.dim}")
     print(f"params           {field.params}")
     print(f"declared alpha   {field.alpha}")
     print(f"declared bound   {field.bound}")
-    print(f"holder exponent  {field.holder_exponent}")
     alpha_hat = fields.verify_coercivity(field)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed") or 0)
+    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     periodic = fields.verify_periodicity(field, seed=seed)
     print(f"alpha_hat        {alpha_hat:.12g}")
     print(f"periodic         {periodic}")
@@ -157,6 +149,12 @@ def cmd_field_info(cfg, args):
 
 
 def cmd_solve(cfg, args):
+    """One Green column; with --out, its ``quantity`` as ``<quantity>.csv``."""
+    quantity = cfg.get("quantity", "green")
+    if quantity not in ("green", "gradient_magnitude"):
+        raise ConfigError(f"unknown quantity {quantity!r}")
+    if "quantity" in cfg and not args.out:
+        raise ConfigError("quantity is written only with --out <dir>")
     col = _column_from_config(cfg)
     print(f"nodes            {col.grid.n_nodes}")
     print(f"iterations       {col.iterations}")
@@ -164,48 +162,27 @@ def cmd_solve(cfg, args):
     print(f"max value        {col.values.max():.12g}")
     print(f"min value        {col.values.min():.12g}")
     if args.out:
-        path = dump_field(col.values, col.grid,
-                          os.path.join(args.out, "green.csv"))
+        values = col.values
+        if quantity == "gradient_magnitude":
+            values = np.linalg.norm(mesh.gradient_field(values, col.grid),
+                                    axis=1)
+        path = dump_field(values, col.grid,
+                          os.path.join(args.out, f"{quantity}.csv"))
         print(f"wrote            {path}")
     return 0
 
 
-def cmd_dump(cfg, args):
-    if not args.out:
-        raise ConfigError("dump requires --out <dir>")
-    col = _column_from_config(cfg)
-    quantity = cfg.get("quantity", "green")
-    if quantity == "green":
-        values = col.values
-    elif quantity == "gradient_magnitude":
-        values = np.linalg.norm(mesh.gradient_field(col.values, col.grid),
-                                axis=1)
-    else:
-        raise ConfigError(f"unknown dump quantity {quantity!r}")
-    path = dump_field(values, col.grid,
-                      os.path.join(args.out, f"{quantity}.csv"))
-    print(f"wrote            {path}")
-    return 0
+RUN_KEYS = {"R": float, "n": int, "rel_tol": float, "eta": float,
+            "radii_count": int, "seed": int}
 
 
 def cmd_verify(cfg, args):
-    """Run presets with the config's run keys and write ``report.json``.
-
-    lorentz and lift run their presets; decay runs decay3d, or log2d at dim 2.
-    """
-    if args.command == "decay":
-        dim = int(cfg.get("dim", 3))
-        if dim not in (2, 3):
-            raise ConfigError(f"decay runs dim = 2 or 3, not {dim}")
-        spec = "decay3d" if dim == 3 else "log2d"
-    elif args.command == "verify":
-        spec = args.preset or cfg.get("experiments", "all")
-    else:
-        spec = args.command
-    overrides = {key: cast(cfg[key]) for key, cast in (
-        ("R", float), ("n", int), ("rel_tol", float), ("eta", float),
-        ("radii_count", int), ("seed", int)) if cfg.get(key)}
-    if cfg.get("family"):
+    """Run presets (default all) with the config's run keys and write
+    ``report.json``."""
+    spec = args.preset or "all"
+    overrides = {key: cast(cfg[key]) for key, cast in RUN_KEYS.items()
+                 if key in cfg}
+    if "family" in cfg:
         overrides["families"] = tuple(f.strip()
                                       for f in cfg["family"].split(","))
     if args.seed is not None:
@@ -220,15 +197,17 @@ def cmd_verify(cfg, args):
     return 0 if report["overall_pass"] else 1
 
 
+FIELD_KEYS = {"dim", "family", "params"}
+
+# each command, the config keys it reads and its flags besides --config
 COMMANDS = {
-    "field-info": cmd_field_info,
-    "solve": cmd_solve,
-    "decay": cmd_verify,
-    "lorentz": cmd_verify,
-    "lift": cmd_verify,
-    "verify": cmd_verify,
-    "dump": cmd_dump,
+    "field-info": (cmd_field_info, FIELD_KEYS | {"alpha", "bound", "seed"},
+                   {"seed"}),
+    "solve": (cmd_solve, FIELD_KEYS | {"R", "n", "source", "rel_tol",
+                                       "max_iter", "quantity"}, {"out"}),
+    "verify": (cmd_verify, {"family", *RUN_KEYS}, {"preset", "out", "seed"}),
 }
+CONFIG_KEYS = set().union(*(keys for _, keys, _ in COMMANDS.values()))
 
 
 def make_parser():
@@ -236,7 +215,7 @@ def make_parser():
         prog="greenbox",
         description="Discrete Green functions of periodic divergence-form "
                     "operators: solvers and decay/norm verification.")
-    parser.add_argument("command", choices=sorted(COMMANDS))
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--preset", help="comma-separated presets "
                         f"(of: {', '.join(verify.PRESETS)}, all)")
@@ -252,8 +231,15 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        run, keys, flags = COMMANDS[args.command]
         cfg = parse_config(args.config) if args.config else {}
-        return COMMANDS[args.command](cfg, args)
+        unread = sorted(cfg.keys() - keys) + [
+            f"--{flag}" for flag in ("preset", "out", "seed")
+            if getattr(args, flag) is not None and flag not in flags]
+        if unread:
+            raise ConfigError(
+                f"{args.command} does not read {', '.join(unread)}")
+        return run(cfg, args)
     except (ValueError, ConvergenceError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

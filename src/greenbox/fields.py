@@ -36,9 +36,6 @@ class PeriodicField:
         Declared coercivity constant: xi^T A(x) xi >= alpha |xi|^2.
     bound : float
         Declared sup-norm of the matrix entries.
-    holder_exponent : float
-        Declared smoothness; metadata only (built-ins are smooth, so any
-        exponent in (0, 1] is valid).
     """
 
     dim: int
@@ -46,7 +43,6 @@ class PeriodicField:
     params: tuple
     alpha: float
     bound: float
-    holder_exponent: float = 1.0
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -58,8 +54,6 @@ class PeriodicField:
             raise ConfigError("field parameters, alpha and bound must be finite")
         if self.alpha <= 0.0 or self.bound <= 0.0:
             raise ConfigError("alpha and bound must be positive")
-        if not 0.0 < self.holder_exponent <= 1.0:
-            raise ConfigError("holder_exponent must lie in (0, 1]")
         object.__setattr__(self, "params", params)
 
 
@@ -163,8 +157,7 @@ def transpose_field(field):
     """Descriptor of A^T; equals the input for the symmetric families."""
     if field.family == "nonsym_skew":
         return PeriodicField(field.dim, field.family, (-field.params[0],),
-                             alpha=field.alpha, bound=field.bound,
-                             holder_exponent=field.holder_exponent)
+                             alpha=field.alpha, bound=field.bound)
     return field
 
 

@@ -534,24 +534,7 @@ def checks_oracle(families=fields.FAMILIES, rel_tol=1e-10):
 # preset registry
 # ---------------------------------------------------------------------------
 
-def _checks_selftest_fail():
-    """Deliberately wrong expectation; exercises the failure exit path."""
-    field = fields.make_field("identity", 2)
-    grid = mesh.build_grid(2, 2.0, 65)
-    col = green.normalize_2d(green.green_column(field, grid, grid.center_index))
-    window = analysis.fit_window(grid, "log")
-    spec, stats = _profile(col.values, grid, col.source_coords, window)
-    rep = analysis.fit_log_growth(spec.radii, stats, window)
-    return [Check(
-        name="selftest.wrong_slope",
-        anchor="|G(x,y)| <= C (1 + |log|x-y||)",
-        passed=abs(rep.slope - 1.0) <= 0.05,
-        measured={"slope": rep.slope},
-        expected={"slope": 1.0, "tol": 0.05},
-        details="intentionally wrong expected value")]
-
-
-# "all" runs these in this order, leaving out selftest-fail
+# "all" runs these in this order
 PRESETS = {
     "decay3d": checks_decay3d,
     "log2d": checks_log2d,
@@ -561,27 +544,26 @@ PRESETS = {
     "uniform": checks_uniform,
     "lift": checks_lift,
     "oracle": checks_oracle,
-    "selftest-fail": _checks_selftest_fail,
 }
 
 
 def run_preset(spec, **overrides):
     """Run the comma-separated presets in ``spec`` and return their checks.
-    Unknown names raise before anything runs; each override reaches the
-    runners that have a parameter of its name."""
+    Each override reaches the runners that have a parameter of its name; an
+    unknown name, or an override that reaches none of them, raises before
+    anything runs."""
     names = []
     for part in spec.split(","):
         part = part.strip()
         if part == "all":
-            names.extend(nm for nm in PRESETS if nm != "selftest-fail")
+            names.extend(PRESETS)
         elif part in PRESETS:
             names.append(part)
         else:
             raise ConfigError(f"unknown preset {part!r}")
-    checks = []
-    for name in names:
-        runner = PRESETS[name]
-        params = inspect.signature(runner).parameters
-        checks.extend(runner(**{key: value for key, value in overrides.items()
-                                if key in params}))
-    return checks
+    params = {nm: inspect.signature(PRESETS[nm]).parameters for nm in names}
+    unread = sorted(set(overrides).difference(*params.values()))
+    if unread:
+        raise ConfigError(f"{', '.join(unread)} reaches no preset of {spec!r}")
+    return [c for nm in names for c in PRESETS[nm](**{
+        key: value for key, value in overrides.items() if key in params[nm]})]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from greenbox import (ConfigError, build_grid, fields, green, green_column,
-                      make_field, sparse, verify)
+                      make_field, mesh, sparse, verify)
 from greenbox.cli import dump_field, main, parse_config
 
 
@@ -82,19 +82,26 @@ def test_dump_field_bytes_match_row_loop(tmp_path, dim, n):
 
 
 def test_cli_solve_and_dump(tmp_path):
-    cfg = write(tmp_path / "solve.cfg", """
-family = identity
-dim = 2
-R = 1.0
-n = 9
-""")
+    text = "family = scalar_trig\ndim = 2\nR = 1.0\nn = 9\n"
     out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-    assert (out / "green.csv").exists()
-    assert main(["dump", "--config", cfg, "--out", str(out)]) == 0
-    assert (out / "green.csv").read_bytes()
-    rc = main(["dump", "--config", cfg])  # missing --out
-    assert rc == 2
+    assert main(["solve", "--config", write(tmp_path / "g.cfg", text),
+                 "--out", str(out)]) == 0
+    green_csv = np.loadtxt(out / "green.csv", delimiter=",", skiprows=1)
+    grid = build_grid(2, 1.0, 9)
+    assert np.array_equal(green_csv[:, :2], grid.node_coords)
+    grad = write(tmp_path / "grad.cfg",
+                 text + "quantity = gradient_magnitude\n")
+    assert main(["solve", "--config", grad, "--out", str(out)]) == 0
+    # 17 significant digits read back exactly, so the gradient of the
+    # green.csv values dumps to the same bytes
+    gmag = np.linalg.norm(mesh.gradient_field(green_csv[:, 2], grid), axis=1)
+    dump_field(gmag, grid, str(tmp_path / "ref.csv"))
+    assert (out / "gradient_magnitude.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+    assert main(["solve", "--config", grad]) == 2  # a quantity, no --out
+    assert main(["solve", "--seed", "1"]) == 2  # solve draws nothing
+    bad = write(tmp_path / "bad.cfg", text + "quantity = flux\n")
+    assert main(["solve", "--config", bad, "--out", str(tmp_path)]) == 2
 
 
 def test_cli_field_info(tmp_path, capsys):
@@ -102,6 +109,9 @@ def test_cli_field_info(tmp_path, capsys):
     assert main(["field-info", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert "diag_aniso" in out and "alpha_hat" in out
+    # field-info writes nothing and runs no preset
+    assert main(["field-info", "--out", str(tmp_path)]) == 2
+    assert main(["field-info", "--preset", "adjoint"]) == 2
 
 
 def test_cli_field_info_seed_from_config_unless_flag(tmp_path, capsys,
@@ -132,7 +142,12 @@ def test_cli_verify_pass_and_report(tmp_path):
     assert all("anchor" in c for c in report["checks"])
 
 
-def test_cli_verify_selftest_fails_with_exit_1(tmp_path):
+def test_cli_verify_selftest_fails_with_exit_1(tmp_path, monkeypatch):
+    def wrong_slope():
+        return [verify.Check(name="selftest.wrong_slope", anchor="a violation",
+                             passed=False, measured={"slope": 0.16},
+                             expected={"slope": 1.0, "tol": 0.05})]
+    monkeypatch.setitem(verify.PRESETS, "selftest-fail", wrong_slope)
     out = tmp_path / "rep"
     rc = main(["verify", "--preset", "selftest-fail", "--out", str(out)])
     assert rc == 1
@@ -140,12 +155,24 @@ def test_cli_verify_selftest_fails_with_exit_1(tmp_path):
     assert report["overall_pass"] is False
 
 
-def test_cli_malformed_config_exit_2(tmp_path):
-    bad = write(tmp_path / "bad.cfg", "nonsense = 1\n")
+@pytest.mark.parametrize("text, preset", [
+    ("nonsense = 1\n", "adjoint"),
+    ("R =\n", "adjoint"),
+    ("n = 17\nn = 33\n", "adjoint"),
+    ("params = 2, 1.9, 1\n", "oracle"),  # verify reads no field params
+    ("n = 33\n", "lorentz"),             # no parameter of lorentz
+    ("holder_exponent = 0.5\n", "adjoint"),
+    ("experiments = adjoint\n", "adjoint"),
+], ids=["unknown-key", "empty-value", "repeated-key", "params", "unrouted-n",
+        "holder_exponent", "experiments"])
+def test_cli_malformed_config_exit_2(tmp_path, capsys, text, preset):
+    bad = write(tmp_path / "bad.cfg", text)
     out = tmp_path / "nores"
-    rc = main(["verify", "--config", bad, "--preset", "adjoint",
+    rc = main(["verify", "--config", bad, "--preset", preset,
                "--out", str(out)])
     assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
     assert not (out / "report.json").exists()
 
 
@@ -219,34 +246,6 @@ def test_console_entry_point(tmp_path):
     assert "PASS" in proc.stdout
 
 
-def test_cli_lorentz_alias_writes_report(tmp_path):
-    out = tmp_path / "d"
-    assert main(["lorentz", "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["preset"] == "lorentz"
-    assert [c["name"] for c in report["checks"]] == [
-        "lorentz.constant_counterexample", "lorentz.sandwich_random",
-        "lorentz.disk_inverse_radius", "lorentz.disk_lower_sandwich"]
-
-
-def test_cli_decay_alias_follows_config_dim(tmp_path):
-    cfg = write(tmp_path / "d2.cfg", "dim = 2\nfamily = identity\nR = 1.0\n"
-                                     "n = 65\n")
-    assert main(["decay", "--config", cfg, "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["preset"] == "log2d"
-    assert [c["name"] for c in report["checks"]] == [
-        "log2d.G.identity", "log2d.grad.identity", "log2d.mixed.identity",
-        "log2d.ratio.identity"]
-
-
-def test_cli_decay_rejects_other_dims(tmp_path, capsys):
-    cfg = write(tmp_path / "d5.cfg", "dim = 5\n")
-    assert main(["decay", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-    assert not (tmp_path / "report.json").exists()
-
-
 def test_runner_parameters_are_the_routed_keys():
     # every settable value of a runner is a config key (family as families);
     # each other expectation is a literal in the runner
@@ -259,15 +258,20 @@ def test_runner_parameters_are_the_routed_keys():
         "uniform": {"families", "rel_tol"},
         "lift": {"R", "rel_tol"},
         "oracle": {"families", "rel_tol"},
-        "selftest-fail": set(),
     }
     got = {name: set(inspect.signature(runner).parameters)
            for name, runner in verify.PRESETS.items()}
-    assert got == table
+    assert list(got.items()) == list(table.items())  # the order of all
 
 
-def test_cli_threads_flag_removed():
-    assert main(["verify", "--preset", "adjoint", "--threads", "2"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["verify", "--preset", "adjoint", "--threads", "2"],
+    ["decay"], ["lorentz"], ["lift"], ["dump", "--out", "."],
+], ids=["--threads", "decay", "lorentz", "lift", "dump"])
+def test_cli_removed_paths_exit_2(argv):
+    # the verbs are now verify --preset decay3d (log2d) / lorentz / lift and
+    # solve --out
+    assert main(argv) == 2
 
 
 def test_cli_config_run_keys_reach_runners(tmp_path, capsys):
