@@ -183,8 +183,8 @@ def cmd_verify(cfg, args):
     overrides = {key: cast(cfg[key]) for key, cast in RUN_KEYS.items()
                  if key in cfg}
     if "family" in cfg:
-        overrides["families"] = tuple(f.strip()
-                                      for f in cfg["family"].split(","))
+        overrides["family"] = tuple(f.strip()
+                                    for f in cfg["family"].split(","))
     if args.seed is not None:
         overrides["seed"] = args.seed
     t0 = time.perf_counter()

@@ -27,6 +27,14 @@ e the exponent of max|b|, before rounding it to float32 and undoes that on
 return; both scalings are exact, and a tiny residual (1e-46 at rel_tol =
 1e-300) does not flush to zero in float32.  matvec, prolong, restrict and
 the smoother weights follow the dtype of the data they are given.
+Each solve runs on one workspace (``_Workspace``), dropped when it returns:
+every V-cycle level keeps x inside its zero-padded matvec input, b, y and
+one scratch pool, and CG keeps p inside a padded float64 input.  Every
+multiply-add, transfer and smoother update is bound once to views of these
+buffers as a ufunc with out=, so an iteration allocates nothing and slices
+nothing, in the same operations and order as on fresh arrays: the results
+are bitwise unchanged.  matvec, prolong and restrict bind the same steps to
+fresh buffers.
 A symmetric stencil stores its centre row and the rows after it in offset
 order, (3^c + 1) / 2 of the 3^c: row o of node i is K_{i, i+o}, and its
 transpose K_{i+o, i} is the coupling of row -o, so matvec (and so the
@@ -172,6 +180,12 @@ class SparseSystem:
         count m >= 3.  Batch axes never coarsen."""
         return tuple(k for k in self.stencil_axes
                      if self.shape[k] >= 3 and self.shape[k] % 2 == 1)
+
+    @property
+    def coarse_shape(self):
+        """Node shape of the Galerkin level below."""
+        return tuple((m - 1) // 2 if k in self.coarse_axes else m
+                     for k, m in enumerate(self.shape))
 
     @property
     def n_rows(self):
@@ -393,7 +407,7 @@ def check_stencil_fits(rows, nodes):
 def matvec(system, x):
     """y = K x: a shifted multiply-add per stored row, in offset order, over
     a zero-padded x, one block (at most _BLOCK nodes of one slab) at a time
-    (``_plan``).
+    (``_product`` on fresh buffers).
 
     A read that wraps past a grid face meets an exactly-zero stencil entry.
     """
@@ -401,18 +415,45 @@ def matvec(system, x):
     n = system.n_rows
     if x.shape != (n,):
         raise ConfigError(f"matvec length mismatch: {x.shape} vs {n}")
-    pad = int(system.shifts[-1])
     dtype = np.result_type(system.data, x)
-    xp = np.zeros(n + 2 * pad, dtype)
-    xp[pad:pad + n] = x
-    y = np.zeros(n, dtype)
-    for ys, row, xs in system._plan:
-        y[ys] += row * xp[xs]
+    xp, middle = _padded(system, dtype)
+    middle[...] = x
+    y = np.empty(n, dtype)
+    _run(_product(system, xp, y, np.empty(min(n, _BLOCK), dtype)))
     return y
+
+
+def _padded(system, dtype):
+    """A zero-padded matvec input of ``system`` and its middle, x."""
+    n, pad = system.n_rows, int(system.shifts[-1])
+    xp = np.zeros(n + 2 * pad, dtype)
+    return xp, xp[pad:pad + n]
+
+
+def _product(system, xp, y, tmp):
+    """Steps of y = K x, x the middle of the zero-padded xp: ``_plan``'s
+    multiply-adds y[ys] += row * xp[xs], each product formed in tmp."""
+    steps = [(y.fill, (0.0,))]
+    for ys, row, xs in system._plan:
+        yb, t = y[ys], tmp[:len(row)]
+        steps += [(np.multiply, (row, xp[xs], t)), (np.add, (yb, t, yb))]
+    return steps
+
+
+def _run(steps):
+    """Run bound steps, each a callable and its arguments (out= last)."""
+    for f, args in steps:
+        f(*args)
 
 
 def _along(ax, index):
     return (slice(None),) * ax + (index,)
+
+
+def _parts(x, ax):
+    """The odd nodes of axis ax and the even ones before and after each."""
+    return [x[_along(ax, slice(a, b, 2))]
+            for a, b in ((1, None), (0, -1), (2, None))]
 
 
 def prolong(xc, fine):
@@ -422,28 +463,58 @@ def prolong(xc, fine):
     weight 1/2 to fine nodes 2J and 2J + 2; P is the identity along the
     other axes.
     """
-    axes = fine.coarse_axes
-    x = xc.reshape([(m - 1) // 2 if k in axes else m
-                    for k, m in enumerate(fine.shape)])
-    for ax in axes:
+    y = np.empty(fine.n_rows, xc.dtype)
+    _run(_prolong(fine, xc, y, np.empty((2, (fine.n_rows + 1) // 2),
+                                        xc.dtype)))
+    return y
+
+
+def _prolong(fine, xc, y, pool):
+    """Steps of y = P xc, one coarsened axis at a time: x goes to the odd
+    nodes, which are halved and added to their even neighbours.  The last
+    axis writes y; the intermediates alternate between the two rows of
+    ``pool``, (2, (n + 1) // 2) for n fine nodes, which none exceeds, and
+    the halves take the row of x once x is copied."""
+    x, axes = xc.reshape(fine.coarse_shape), fine.coarse_axes
+    steps = [] if axes else [(np.copyto, (y, xc))]
+    for i, ax in enumerate(axes):
         shape = list(x.shape)
         shape[ax] = fine.shape[ax]
-        up = np.zeros(shape, x.dtype)
-        up[_along(ax, slice(1, None, 2))] = x
-        half = 0.5 * x
-        up[_along(ax, slice(0, -1, 2))] += half
-        up[_along(ax, slice(2, None, 2))] += half
+        up = (y if i == len(axes) - 1 else
+              pool[i % 2][:math.prod(shape)]).reshape(shape)
+        half = pool[1 - i % 2][:x.size].reshape(x.shape)
+        odd, left, right = _parts(up, ax)
+        steps += [(np.copyto, (odd, x)), (np.multiply, (0.5, odd, half)),
+                  (up[_along(ax, slice(0, None, 2))].fill, (0.0,)),
+                  (np.add, (left, half, left)), (np.add, (right, half, right))]
         x = up
-    return x.ravel()
+    return steps
 
 
 def restrict(x, fine):
     """P^T: the transpose of prolong, onto the coarse grid."""
-    x = x.reshape(fine.shape)
-    for ax in fine.coarse_axes:
-        x = x[_along(ax, slice(1, None, 2))] + 0.5 * (
-            x[_along(ax, slice(0, -1, 2))] + x[_along(ax, slice(2, None, 2))])
-    return x.ravel()
+    bc = np.empty(math.prod(fine.coarse_shape), x.dtype)
+    _run(_restrict(fine, x, bc, np.empty((2, (fine.n_rows + 1) // 2),
+                                         x.dtype)))
+    return bc
+
+
+def _restrict(fine, x, bc, pool):
+    """Steps of bc = P^T x, one coarsened axis at a time: odd + 0.5 (left +
+    right).  The last axis writes bc, the others alternate between the rows
+    of ``pool`` as in ``_prolong``."""
+    x, axes = x.reshape(fine.shape), fine.coarse_axes
+    steps = [] if axes else [(np.copyto, (bc, x.ravel()))]
+    for i, ax in enumerate(axes):
+        shape = list(x.shape)
+        shape[ax] = (shape[ax] - 1) // 2
+        t = (bc if i == len(axes) - 1 else
+             pool[i % 2][:math.prod(shape)]).reshape(shape)
+        odd, left, right = _parts(x, ax)
+        steps += [(np.add, (left, right, t)), (np.multiply, (0.5, t, t)),
+                  (np.add, (odd, t, t))]
+        x = t
+    return steps
 
 
 # The 1D Galerkin product along one axis.  P spreads coarse node J over fine
@@ -496,9 +567,7 @@ def _galerkin(system):
                 for A, w_col in _COLUMN_WEIGHTS[s + a]:
                     coarse[A + 1] += (w_row * w_col) * rows[a + 1]
         st = np.moveaxis(coarse, (0, 1), (ax, d + ax))
-    shape = tuple((m - 1) // 2 if k in axes else m
-                  for k, m in enumerate(system.shape))
-    return tile(shape, pc, system.symmetric,
+    return tile(system.coarse_shape, pc, system.symmetric,
                 lambda: st.reshape(math.prod(dims), -1), system.stencil_axes)
 
 
@@ -549,39 +618,76 @@ def batch_system(terms):
     return system
 
 
-def _vcycle(levels, b):
-    """One float32 V(SWEEPS, SWEEPS) cycle for K x = b from x = 0, with
-    K = levels[0] (float64) and levels[1:] its hierarchy; float64 b and x.
+def _cycle(levels):
+    """One V(SWEEPS, SWEEPS) cycle for K x = b from x = 0 over ``levels``
+    (finest first), in their dtype, as (steps, b, x) of the finest level.
 
-    b is scaled by 2^-e, e the exponent of max|b|, before the float32 cast,
-    and x by 2^e after it: both are exact, so the cycle of b 2^-k is
-    bitwise 2^-k times the cycle of b, and b = 0 gives x = 0.
+    Each level holds x inside its zero-padded matvec input, b, y and one
+    pool for its matvec products and transfer intermediates.  A sweep is
+    y = K x, y = w (b - y), x += y; the residual goes to y, is restricted
+    into b below, and the correction is prolonged into y.  A one-node level
+    is solved exactly; a level that cannot coarsen further is only smoothed.
     """
-    e = int(np.frexp(max(b.max(), -b.min()))[1])
-    x = _cycle((levels[0].single,) + levels[1:], 0,
-               np.ldexp(b, -e).astype(np.float32))
-    return np.ldexp(x.astype(np.float64), e)
+    bufs = []
+    for system in levels:
+        n, dtype = system.n_rows, system.data.dtype
+        bufs.append(_padded(system, dtype) + tuple(np.empty((2, n), dtype))
+                    + (np.empty((2, (n + 1) // 2), dtype),))
+    down, up = [], []    # the steps before and after the coarsest level
+    for k, (system, (xp, x, b, y, pool)) in enumerate(zip(levels, bufs)):
+        if system.n_rows == 1:
+            down.append((np.divide, (b, system.data[system.centre], x)))
+            break
+        w, kx = system.smoother, _product(system, xp, y, pool.ravel())
+        sweep = kx + [(np.subtract, (b, y, y)), (np.multiply, (w, y, y)),
+                      (np.add, (x, y, x))]
+        down += [(np.multiply, (w, b, x))] + sweep * (SWEEPS - 1)
+        post = sweep * SWEEPS
+        if k + 1 < len(levels):
+            _, xc, bc, _, _ = bufs[k + 1]
+            down += (kx + [(np.subtract, (b, y, y))]
+                     + _restrict(system, y, bc, pool))
+            post = (_prolong(system, xc, y, pool) + [(np.add, (x, y, x))]
+                    + post)
+        up = post + up
+    return down + up, bufs[0][2], bufs[0][1]
 
 
-def _cycle(levels, k, b):
-    """The V-cycle below level k, in the dtype of the levels and of b.
+def _vcycle(cycle, r, z):
+    """z = one float32 V-cycle (``cycle``, of ``_cycle``) for K z = r;
+    float64 r and z.
 
-    A one-node level is solved exactly; a level that cannot coarsen further
-    is only smoothed.
+    r is scaled by 2^-e, e the exponent of max|r|, as it is rounded to
+    float32, and z by 2^e once widened: both are exact, so the cycle of
+    r 2^-k is bitwise 2^-k times the cycle of r, and r = 0 gives z = 0.
     """
-    system = levels[k]
-    if system.n_rows == 1:
-        return b / system.data[system.centre]
-    w = system.smoother
-    x = w * b
-    for _ in range(SWEEPS - 1):
-        x += w * (b - matvec(system, x))
-    if k + 1 < len(levels):
-        r = b - matvec(system, x)
-        x += prolong(_cycle(levels, k + 1, restrict(r, system)), system)
-    for _ in range(SWEEPS):
-        x += w * (b - matvec(system, x))
-    return x
+    steps, b, x = cycle
+    e = int(np.frexp(max(r.max(), -r.min()))[1])
+    np.ldexp(r, -e, out=b)
+    _run(steps)
+    np.copyto(z, x)
+    return np.ldexp(z, e, out=z)
+
+
+class _Workspace:
+    """The buffers of one ``solve``: the float32 ``cycle`` of the fine
+    level's ``single`` copy and its hierarchy, and ``inputs`` float64 vectors
+    ``x[i]``, each the middle of a zero-padded input of K whose product
+    ``product(i)`` writes into ``y[i]``; the products share one block."""
+
+    def __init__(self, levels, inputs):
+        system = levels[0]
+        self.cycle = _cycle((system.single,) + levels[1:])
+        pads = [_padded(system, np.float64) for _ in range(inputs)]
+        self.x = [x for _, x in pads]
+        self.y = list(np.empty((inputs, system.n_rows)))
+        tmp = np.empty(min(system.n_rows, _BLOCK))
+        self.steps = [_product(system, xp, y, tmp)
+                      for (xp, _), y in zip(pads, self.y)]
+
+    def product(self, i):
+        _run(self.steps[i])
+        return self.y[i]
 
 
 def _dot(a, b):
@@ -599,67 +705,70 @@ def _coupled_length(system):
                 if k in system.stencil_axes and m > 1), default=1)
 
 
-def _cg(levels, r, tol_abs, history, max_iter):
-    """Preconditioned conjugate gradients for K e = r from e = 0.
+def _cg(ws, r, tol_abs, history, max_iter):
+    """Preconditioned conjugate gradients for K e = r from e = 0, on the
+    _Workspace ``ws`` and r, which it overwrites.
 
     Appends the recursive residual norm of each iteration to ``history`` and
-    returns e once that norm meets tol_abs or the history is full.
+    returns e once that norm meets tol_abs or the history is full.  p is
+    ``ws.x[0]``, and the first z; K p, the later z and the update products
+    share ``ws.y[0]``.
     """
-    system = levels[0]
-    e = np.zeros_like(r)
-    r = r.copy()
-    p = z = _vcycle(levels, r)
-    rz = _dot(r, z)
+    e, p, v = np.zeros_like(r), ws.x[0], ws.y[0]
+    rz = _dot(r, _vcycle(ws.cycle, r, p))
     while len(history) < max_iter:
-        ap = matvec(system, p)
-        alpha = rz / _dot(p, ap)
-        e += alpha * p
-        r -= alpha * ap
+        alpha = rz / _dot(p, ws.product(0))
+        np.subtract(r, np.multiply(alpha, v, out=v), out=r)
+        np.add(e, np.multiply(alpha, p, out=v), out=e)
         history.append(_norm(r))
         if history[-1] <= tol_abs:
             break
-        z = _vcycle(levels, r)
-        rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
+        rz_new = _dot(r, _vcycle(ws.cycle, r, v))
+        np.add(v, np.multiply(rz_new / rz, p, out=p), out=p)
         rz = rz_new
     return e
 
 
-def _bicgstab(levels, r, tol_abs, history, max_iter):
-    """Preconditioned BiCGStab for K e = r from e = 0, shadow residual r.
+def _bicgstab(ws, r0, tol_abs, history, max_iter):
+    """Preconditioned BiCGStab for K e = r0 from e = 0, shadow residual r0,
+    on the _Workspace ``ws``.
 
     Same stopping rule as _cg, and it also returns at a breakdown
     (rho = 0, omega = 0 or t = 0; van der Vorst, SIAM J. Sci. Stat. Comput.
-    13, 1992), leaving solve to restart from the true residual.
+    13, 1992), leaving solve to restart from the true residual.  ph and sh
+    are ``ws.x``, v = K ph is ``ws.y[0]``, and r shares ``ws.y[1]`` with
+    t = K sh, which is formed once r is spent.
     """
-    system = levels[0]
-    e = np.zeros_like(r)
-    r0 = r
+    e, p, s = np.zeros_like(r0), np.zeros_like(r0), np.empty_like(r0)
+    (ph, sh), (v, r) = ws.x, ws.y
+    v.fill(0.0)
+    np.copyto(r, r0)
     rho = alpha = omega = 1.0
-    v = p = np.zeros_like(r)
     while len(history) < max_iter:
         rho_new = _dot(r0, r)
         if rho_new == 0.0 or omega == 0.0:
             break
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
-        p = r + beta * (p - omega * v)
-        ph = _vcycle(levels, p)
-        v = matvec(system, ph)
-        alpha = rho / _dot(r0, v)
-        s = r - alpha * v
+        np.subtract(p, np.multiply(omega, v, out=v), out=p)
+        np.add(r, np.multiply(beta, p, out=p), out=p)
+        _vcycle(ws.cycle, p, ph)
+        alpha = rho / _dot(r0, ws.product(0))
+        np.subtract(r, np.multiply(alpha, v, out=s), out=s)
         tt = 0.0
         if _norm(s) > tol_abs:
-            sh = _vcycle(levels, s)
-            t = matvec(system, sh)
+            _vcycle(ws.cycle, s, sh)
+            t = ws.product(1)
             tt = _dot(t, t)
         if tt == 0.0:    # s met the tolerance, or t = 0
             history.append(_norm(s))
-            e += alpha * ph
+            np.add(e, np.multiply(alpha, ph, out=ph), out=e)
             break
         omega = _dot(t, s) / tt
-        e += alpha * ph + omega * sh
-        r = s - omega * t
+        np.add(np.multiply(alpha, ph, out=ph),
+               np.multiply(omega, sh, out=sh), out=ph)
+        np.add(e, ph, out=e)
+        np.subtract(s, np.multiply(omega, t, out=t), out=r)
         history.append(_norm(r))
         if history[-1] <= tol_abs:
             break
@@ -699,28 +808,32 @@ def solve(system, rhs, rel_tol=1e-10, max_iter=None):
     peak = float(np.abs(rhs).max())    # nan or inf for any such entry
     if not math.isfinite(peak):
         raise ConfigError("rhs must be finite")
-    x = np.zeros(system.n_rows)
     if peak == 0.0:
-        return x, SolveInfo(0, 0.0)
+        return np.zeros(system.n_rows), SolveInfo(0, 0.0)
     e = math.frexp(peak)[1]
-    b = np.ldexp(rhs, -e)
+    r = np.ldexp(rhs, -e)    # b, then each pass's true residual b - K x
     levels = (system,) + system.hierarchy
     if max_iter is None:
         max_iter = 100 + 20 * _coupled_length(levels[-1])
-    res = _norm(b)
+    res = _norm(r)
     tol_abs = rel_tol * res
     recurrence = _cg if system.symmetric else _bicgstab
-    r, history = b, []
+    ws = _Workspace(levels, 1 if system.symmetric else 2)
+    x, history = None, []
     why = f"in {max_iter} iterations"
     while len(history) < max_iter:
-        x += recurrence(levels, r, tol_abs, history, max_iter)
-        r = b - matvec(system, x)
-        res = _norm(r)
+        # the first correction is x itself: 0 + e is e, as e holds no -0.0
+        d = recurrence(ws, r, tol_abs, history, max_iter)
+        x = d if x is None else np.add(x, d, out=x)
+        np.copyto(ws.x[0], x)
+        res = _norm(np.subtract(np.ldexp(rhs, -e, out=r), ws.product(0),
+                                out=r))
         if res <= tol_abs:
             flushed = _flushes(x, e)
             u = np.ldexp(x, e, out=x)
             if flushed:
-                res = _norm(b - matvec(system, np.ldexp(u, -e)))
+                res = _norm(np.ldexp(rhs, -e) - matvec(system,
+                                                       np.ldexp(u, -e)))
                 why = "once u is scaled back to subnormal float64"
             if res <= tol_abs:
                 return u, SolveInfo(len(history), math.ldexp(res, e))

@@ -549,9 +549,9 @@ PRESETS = {
 
 def run_preset(spec, **overrides):
     """Run the comma-separated presets in ``spec`` and return their checks.
-    Each override reaches the runners that have a parameter of its name; an
-    unknown name, or an override that reaches none of them, raises before
-    anything runs."""
+    Each override, named by its config key, reaches the runners that have a
+    parameter of that name (``family``: ``families``); an unknown preset, or
+    an override that reaches none of them, raises before anything runs."""
     names = []
     for part in spec.split(","):
         part = part.strip()
@@ -562,8 +562,11 @@ def run_preset(spec, **overrides):
         else:
             raise ConfigError(f"unknown preset {part!r}")
     params = {nm: inspect.signature(PRESETS[nm]).parameters for nm in names}
-    unread = sorted(set(overrides).difference(*params.values()))
+    route = {key: "families" if key == "family" else key for key in overrides}
+    unread = sorted(key for key, name in route.items()
+                    if not any(name in p for p in params.values()))
     if unread:
         raise ConfigError(f"{', '.join(unread)} reaches no preset of {spec!r}")
     return [c for nm in names for c in PRESETS[nm](**{
-        key: value for key, value in overrides.items() if key in params[nm]})]
+        route[key]: value for key, value in overrides.items()
+        if route[key] in params[nm]})]

@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 import subprocess
 import sys
 
@@ -163,8 +164,9 @@ def test_cli_verify_selftest_fails_with_exit_1(tmp_path, monkeypatch):
     ("n = 33\n", "lorentz"),             # no parameter of lorentz
     ("holder_exponent = 0.5\n", "adjoint"),
     ("experiments = adjoint\n", "adjoint"),
+    ("family = identity\n", "lorentz,adjoint"),  # no families parameter
 ], ids=["unknown-key", "empty-value", "repeated-key", "params", "unrouted-n",
-        "holder_exponent", "experiments"])
+        "holder_exponent", "experiments", "unrouted-family"])
 def test_cli_malformed_config_exit_2(tmp_path, capsys, text, preset):
     bad = write(tmp_path / "bad.cfg", text)
     out = tmp_path / "nores"
@@ -173,6 +175,9 @@ def test_cli_malformed_config_exit_2(tmp_path, capsys, text, preset):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    # the error names the key as the config wrote it
+    key = text.split("=")[0].strip()
+    assert re.search(rf"\b{key}\b", err[0]), err[0]
     assert not (out / "report.json").exists()
 
 

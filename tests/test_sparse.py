@@ -1,8 +1,12 @@
 import dataclasses
+import gc
+import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -232,6 +236,102 @@ def test_determinism_bitwise():
     assert i1 == i2
     K2 = assemble(make_field("scalar_trig", 2), g)
     assert np.array_equal(K.data, K2.data)
+
+
+# (dim, R, n, family, source shift, rel_tol): recurrence passes, SolveInfo
+# and sha256 of u, as solved before the solve ran on one workspace; every
+# solve must stay bitwise.  "lift-33" is the block system of
+# lift.lifted_column at base 33; "cg-restart" drifts at rel_tol 1e-15 and
+# restarts from the true residual once.
+PINNED_SOLVES = {
+    "cg-2d": ((2, 1.0, 33, "scalar_trig", 0, 1e-10), 1, 7,
+              3.628234275713567e-12, "d527e8e35247086a51fb4892328209c6"
+              "5d38f6dc5ab18e3fe8ddd85dd04c1b84"),
+    "cg-3d-slab": ((3, 4.0, 65, "scalar_trig", 0, 1e-10), 1, 7,
+                   3.173967034032096e-11, "a8cd9c5f0746a3480d95ffc282898a28"
+                   "d70c9ce51208bb2858c2306f60356f70"),
+    "bicgstab-2d": ((2, 1.0, 33, "nonsym_skew", 1, 1e-10), 1, 4,
+                    1.476342028418279e-11, "394322b1be7c8081073db326f390be73"
+                    "52b34eef180d2bb3a529a7fdd8c8661a"),
+    "cg-restart": ((2, 1.0, 17, "scalar_trig", 1, 1e-15), 2, 11,
+                   6.493510110462117e-16, "e6cdbcfac7b54ae330f87ca69d0127c4"
+                   "238200cc9c5ad73246e2439b9af6acf5"),
+    "lift-33": (None, 1, 7, 2.97984480730898e-12,
+                "44e045d945002b83c19a0650e7e386710399407aa44ad0e119e910d5"
+                "5e974db1"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_SOLVES)
+def test_solves_are_bitwise_pinned(monkeypatch, case):
+    size, passes, iterations, residual, digest = PINNED_SOLVES[case]
+    ran, solved = [], []
+    for name in ("_cg", "_bicgstab"):
+        def counted(*args, recurrence=getattr(sparse, name)):
+            ran.append(recurrence)
+            return recurrence(*args)
+        monkeypatch.setattr(sparse, name, counted)
+    if size is None:
+        def kept(*args, solve_blocks=sparse.solve, **kwargs):
+            solved.append(solve_blocks(*args, **kwargs))
+            return solved[-1]
+        monkeypatch.setattr(sparse, "solve", kept)
+        g = build_grid(2, 1.0, 33)
+        lift.lifted_column(make_field("scalar_trig", 2),
+                           lift.build_slab(g, 4.0), g.center_index)
+        u, info = solved[0]
+    else:
+        dim, R, n, family, shift, rel_tol = size
+        g = build_grid(dim, R, n)
+        K = assemble(make_field(family, dim), g)
+        assert case != "cg-3d-slab" or K.period < K.shape[0]
+        u, info = solve(K, load_delta(g, g.center_index + shift),
+                        rel_tol=rel_tol)
+    assert len(ran) == passes
+    assert info == (iterations, residual)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == digest
+
+
+def test_repeat_solve_peak_memory():
+    # traced peak of a repeat solve (the hierarchy, smoothers and plans
+    # cached by the first) before the solve ran on one workspace: 2,404,602
+    # bytes, about 10 float64 vectors of 29,791 unknowns
+    g = build_grid(3, 1.0, 33)
+    K = assemble(make_field("scalar_trig", 3), g)
+    rhs = load_delta(g, g.center_index)
+    solve(K, rhs)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solve(K, rhs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_404_602
+
+
+@pytest.mark.parametrize("family", ["scalar_trig", "nonsym_skew"])
+def test_workspace_is_freed_when_solve_returns(monkeypatch, family):
+    # with the cyclic collector off, nothing of a solve's workspace outlives
+    # the solve: a reference cycle would keep every buffer until a collection
+    g = build_grid(2, 1.0, 17)
+    K = assemble(make_field(family, 2), g)
+    recurrence = "_cg" if K.symmetric else "_bicgstab"
+    original, refs = getattr(sparse, recurrence), []
+
+    def keep(ws, *args):
+        _, b, x = ws.cycle
+        refs.extend(weakref.ref(a) for a in (ws, b.base, x.base) + tuple(
+            v.base for v in ws.x + ws.y))
+        return original(ws, *args)
+    monkeypatch.setattr(sparse, recurrence, keep)
+    gc.disable()
+    try:
+        solve(K, load_delta(g, g.center_index))
+        assert refs and not any(ref() is not None for ref in refs)
+    finally:
+        gc.enable()
 
 
 _COLUMN_HASH = """
@@ -806,40 +906,45 @@ def test_anisotropic_coefficient_converges(params, iterations):
 
 @pytest.mark.parametrize("family", ["scalar_trig", "nonsym_skew"])
 def test_vcycle_is_float32_and_krylov_float64(monkeypatch, family):
-    # the dtypes follow the data under numpy 1.24's value-based casting and
-    # numpy 2's NEP 50 alike: no float64 scalar may widen the V-cycle
+    # every array the V-cycle's steps read or write is float32, and each
+    # ufunc step computes in float32 under numpy 1.24's value-based casting
+    # and numpy 2's NEP 50 alike: no Python float may widen the cycle
     g = build_grid(3, 1.0, 9)
     K = assemble(make_field(family, 3), g)
-    seen, transfers = [], []
-    matvec, prolong, restrict = sparse.matvec, sparse.prolong, sparse.restrict
+    recurrence = "_cg" if K.symmetric else "_bicgstab"
+    original, product = getattr(sparse, recurrence), sparse._Workspace.product
+    spaces, products = [], []
 
-    def recording(system, x):
-        y = matvec(system, x)
-        seen.append((system is K, (system.data.dtype, x.dtype, y.dtype)))
-        return y
+    def keep(ws, r, *args):
+        spaces.append(ws)
+        return original(ws, r, *args)
 
-    def transfer(fn):
-        def recorded(x, fine):
-            y = fn(x, fine)
-            transfers.append((x.dtype, y.dtype))
-            return y
-        return recorded
-    monkeypatch.setattr(sparse, "matvec", recording)
-    monkeypatch.setattr(sparse, "prolong", transfer(prolong))
-    monkeypatch.setattr(sparse, "restrict", transfer(restrict))
+    def counted(ws, i):
+        products.append(i)
+        return product(ws, i)
+    monkeypatch.setattr(sparse, recurrence, keep)
+    monkeypatch.setattr(sparse._Workspace, "product", counted)
     u, info = solve(K, load_delta(g, g.center_index + 1))
-    assert set(transfers) == {(np.dtype(np.float32),) * 2}
-    assert u.dtype == np.float64
-    krylov = [dtypes for fine, dtypes in seen if fine]
-    cycle = [dtypes for fine, dtypes in seen if not fine]
-    assert set(krylov) == {(np.dtype(np.float64),) * 3}
-    assert set(cycle) == {(np.dtype(np.float32),) * 3}
-    # CG: one matvec per iteration and the true-residual re-check;
+    assert u.dtype == np.float64 and len(spaces) == 1
+    ws = spaces[0]
+    steps, b, x = ws.cycle
+
+    def arrays(steps):
+        return [a for _, args in steps for a in args
+                if isinstance(a, np.ndarray)]
+    assert {a.dtype for a in arrays(steps) + [b, x]} == {np.dtype(np.float32)}
+    for f, args in steps:
+        if isinstance(f, np.ufunc):
+            assert f(*args[:-1]).dtype == np.float32, f
+    krylov = ws.x + ws.y + [a for s in ws.steps for a in arrays(s)]
+    assert {a.dtype for a in krylov} == {np.dtype(np.float64)}
+    assert all(a.base is not None for a in ws.x)    # inside padded inputs
+    # CG: one K-product per iteration and the true-residual re-check;
     # BiCGStab: at most two per iteration and the re-check
     if K.symmetric:
-        assert len(krylov) == info.iterations + 1
+        assert len(products) == info.iterations + 1
     else:
-        assert info.iterations + 1 <= len(krylov) <= 2 * info.iterations + 1
+        assert info.iterations + 1 <= len(products) <= 2 * info.iterations + 1
     levels = (K.single,) + K.hierarchy
     assert [lv.smoother.dtype for lv in levels] == [np.float32] * len(levels)
     assert "smoother" not in K.__dict__    # no float64 V-cycle ran
@@ -848,13 +953,19 @@ def test_vcycle_is_float32_and_krylov_float64(monkeypatch, family):
 def test_vcycle_scaling_is_exact():
     g = build_grid(3, 1.0, 9)
     K = assemble(make_field("scalar_trig", 3), g)
-    levels = (K,) + K.hierarchy
+    cycle = sparse._cycle((K.single,) + K.hierarchy)
+
+    def vcycle(b):
+        return sparse._vcycle(cycle, b, np.empty(K.n_rows))
     b = np.sin(np.arange(K.n_rows) + 1.0)
     tiny = b * 2.0 ** -160
     assert not tiny.astype(np.float32).any()    # a plain cast flushes to 0
-    assert sparse._vcycle(levels, tiny).tobytes() == \
-        (sparse._vcycle(levels, b) * 2.0 ** -160).tobytes()
-    assert not sparse._vcycle(levels, np.zeros(K.n_rows)).any()
+    first = vcycle(b)
+    assert vcycle(tiny).tobytes() == (first * 2.0 ** -160).tobytes()
+    assert not vcycle(np.zeros(K.n_rows)).any()
+    # each cycle overwrites every buffer it reads: a reused cycle is bitwise
+    # one on fresh buffers
+    assert vcycle(b).tobytes() == first.tobytes()
 
 
 def test_single_copy_is_the_float32_rounding():
