@@ -172,8 +172,7 @@ def cmd_solve(cfg, args):
     return 0
 
 
-RUN_KEYS = {"R": float, "n": int, "rel_tol": float, "eta": float,
-            "radii_count": int, "seed": int}
+RUN_KEYS = {"R": float, "n": int, "rel_tol": float, "seed": int}
 
 
 def cmd_verify(cfg, args):

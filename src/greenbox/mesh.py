@@ -92,7 +92,9 @@ class BoxGrid:
     def node_at(self, point, tol=1e-9):
         """Full index of the node at physical coordinates ``point``."""
         point = np.asarray(point, dtype=float)
-        rel = (point + self.half_width * np.ones(self.dim)) / self.h
+        if point.shape != (self.dim,):
+            raise ConfigError(f"point {point} needs {self.dim} coordinates")
+        rel = (point + self.half_width) / self.h
         multi = np.rint(rel).astype(int)
         if np.any(np.abs(rel - multi) > tol) or np.any(multi < 0) or np.any(multi >= self.n):
             raise ConfigError(f"point {point} is not a grid node")

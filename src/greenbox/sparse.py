@@ -25,16 +25,15 @@ only needs to reduce the error, and a float32 smoothing matvec moves half
 the bytes of a float64 one.  The V-cycle scales its float64 input by 2^-e,
 e the exponent of max|b|, before rounding it to float32 and undoes that on
 return; both scalings are exact, and a tiny residual (1e-46 at rel_tol =
-1e-300) does not flush to zero in float32.  matvec, prolong, restrict and
-the smoother weights follow the dtype of the data they are given.
+1e-300) does not flush to zero in float32.  matvec and the smoother
+weights follow the dtype of the data they are given.
 Each solve runs on one workspace (``_Workspace``), dropped when it returns:
 every V-cycle level keeps x inside its zero-padded matvec input, b, y and
 one scratch pool, and CG keeps p inside a padded float64 input.  Every
 multiply-add, transfer and smoother update is bound once to views of these
 buffers as a ufunc with out=, so an iteration allocates nothing and slices
 nothing, in the same operations and order as on fresh arrays: the results
-are bitwise unchanged.  matvec, prolong and restrict bind the same steps to
-fresh buffers.
+are bitwise unchanged.  matvec binds the same steps to fresh buffers.
 A symmetric stencil stores its centre row and the rows after it in offset
 order, (3^c + 1) / 2 of the 3^c: row o of node i is K_{i, i+o}, and its
 transpose K_{i+o, i} is the coupling of row -o, so matvec (and so the
@@ -62,9 +61,9 @@ lays one period cell over a box in a slab of ``period`` node planes along
 axis 0 (see ``SparseSystem``), the fewest whole periods that cover _BLOCK
 nodes (``slab_planes``), and keeps the cell: P^T K P of a periodic K is
 periodic, so each Galerkin level is formed on the cell of the level above
-and tiled alike.  ``tile`` and ``batch_system`` each run
-``check_stencil_fits`` once, first, on the rows they allocate, as
-``mesh`` does on the torus rows it assembles.
+and tiled alike; a system that coarsens needs a cell.  ``tile`` and
+``batch_system`` each run ``check_stencil_fits`` once, first, on the rows
+they allocate, as ``mesh`` does on the torus rows it assembles.
 A slab's axis-0 face couplings meet the zero padding of x and add +-0,
 which leaves y (never -0) bitwise unchanged, and a block never crosses a
 slab seam, so matvec may run more blocks than over the full layout, with
@@ -367,13 +366,13 @@ def slab_planes(p, shape):
 
 def tile(shape, p, symmetric, cell, stencil_axes=None):
     """The SparseSystem over ``shape`` whose node j takes row j mod p of
-    ``cell()``, the rows of one period cell (p per axis, or an int for every
-    axis) laid out as ``data`` on a grid of shape p: all 3^c, or only the
-    ``stored_rows``, which it keeps as ``cell``.  It stores them on
-    ``slab_planes`` node planes, calls ``cell`` only once
-    ``check_stencil_fits`` has passed those, and zeroes the couplings off
-    the grid except a slab's axis-0 faces."""
-    d, p = len(shape), (p,) * len(shape) if isinstance(p, int) else tuple(p)
+    ``cell()``, the rows of one period cell (p per axis) laid out as
+    ``data`` on a grid of shape p: all 3^c, or only the ``stored_rows``,
+    which it keeps as ``cell``.  It stores them on ``slab_planes`` node
+    planes, calls ``cell`` only once ``check_stencil_fits`` has passed
+    those, and zeroes the couplings off the grid except a slab's axis-0
+    faces."""
+    d, p = len(shape), tuple(p)
     q = slab_planes(p[0], shape)
     rows = stored_rows(len(stencil_axes or shape), symmetric)
     check_stencil_fits(rows, q * math.prod(shape[1:]))
@@ -456,25 +455,15 @@ def _parts(x, ax):
             for a, b in ((1, None), (0, -1), (2, None))]
 
 
-def prolong(xc, fine):
-    """Linear interpolation P from the coarse grid of the system ``fine``.
-
-    Coarse node J of a coarsened axis sits on fine node 2J + 1 and spreads
-    weight 1/2 to fine nodes 2J and 2J + 2; P is the identity along the
-    other axes.
-    """
-    y = np.empty(fine.n_rows, xc.dtype)
-    _run(_prolong(fine, xc, y, np.empty((2, (fine.n_rows + 1) // 2),
-                                        xc.dtype)))
-    return y
-
-
 def _prolong(fine, xc, y, pool):
-    """Steps of y = P xc, one coarsened axis at a time: x goes to the odd
-    nodes, which are halved and added to their even neighbours.  The last
-    axis writes y; the intermediates alternate between the two rows of
-    ``pool``, (2, (n + 1) // 2) for n fine nodes, which none exceeds, and
-    the halves take the row of x once x is copied."""
+    """Steps of y = P xc, linear interpolation from the coarse grid of the
+    system ``fine``: coarse node J of a coarsened axis sits on fine node
+    2J + 1 and spreads weight 1/2 to fine nodes 2J and 2J + 2; P is the
+    identity along the other axes.  One coarsened axis at a time, x goes to
+    the odd nodes, which are halved and added to their even neighbours.
+    The last axis writes y; the intermediates alternate between the two
+    rows of ``pool``, (2, (n + 1) // 2) for n fine nodes, which none
+    exceeds, and the halves take the row of x once x is copied."""
     x, axes = xc.reshape(fine.coarse_shape), fine.coarse_axes
     steps = [] if axes else [(np.copyto, (y, xc))]
     for i, ax in enumerate(axes):
@@ -489,14 +478,6 @@ def _prolong(fine, xc, y, pool):
                   (np.add, (left, half, left)), (np.add, (right, half, right))]
         x = up
     return steps
-
-
-def restrict(x, fine):
-    """P^T: the transpose of prolong, onto the coarse grid."""
-    bc = np.empty(math.prod(fine.coarse_shape), x.dtype)
-    _run(_restrict(fine, x, bc, np.empty((2, (fine.n_rows + 1) // 2),
-                                         x.dtype)))
-    return bc
 
 
 def _restrict(fine, x, bc, pool):
@@ -533,21 +514,17 @@ def _galerkin(system):
     P is the tensor product of 1D interpolations, so P^T K P is the 1D
     Galerkin product along each coarsened axis in turn; the offsets and
     periods along the other axes ride along, and the coarse level keeps the
-    stencil axes and stored rows of the fine one.  The cell is ``cell``, else
-    (hand-built and block systems) the box padded by a zero node past each
-    coarsened axis.  Coarse node J sits on fine node 2J + 1, so a coarsened
-    period p gives p_c = p (odd) or p / 2 (even), formed from fine nodes
-    0..2 p_c modulo p; a symmetric stencil is unfolded with one more node at
-    each end, then dropped, so the coarse one is exactly symmetric.  A coarse
-    coupling on the grid reads only fine ones on the grid, so a wrapped or
-    padded value lands only where ``tile`` zeroes."""
+    stencil axes and stored rows of the fine one; a system without a
+    ``cell`` raises ConfigError.  Coarse node J sits on fine node 2J + 1, so
+    a coarsened period p gives p_c = p (odd) or p / 2 (even), formed from
+    fine nodes 0..2 p_c modulo p; a symmetric stencil is unfolded with one
+    more node at each end, then dropped, so the coarse one is exactly
+    symmetric.  A coarse coupling on the grid reads only fine ones on the
+    grid, so a wrapped value lands only where ``tile`` zeroes."""
+    if system.cell is None:
+        raise ConfigError("a system without a cell has no Galerkin level")
     d, axes, kept = len(system.shape), system.coarse_axes, len(system.data)
-    if system.cell:
-        cell, p = system.cell
-    else:
-        cell = np.pad(system.expanded().reshape((kept,) + system.shape),
-                      [(0, 0)] + [(0, int(k in axes)) for k in range(d)])
-        p = cell.shape[1:]
+    cell, p = system.cell
     pc = [q if q % 2 or k not in axes else q // 2 for k, q in enumerate(p)]
     h = int(system.symmetric)
     take = [np.arange(-h, (2 * c + 1 if k in axes else c) + h) % q

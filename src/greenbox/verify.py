@@ -34,16 +34,14 @@ def _within(value, target, tol):
     return abs(value - target) <= tol
 
 
-def _profile(values, grid, y_coords, window, count=9, eta=analysis.DEFAULT_ETA):
-    spec = analysis.make_annuli(grid, y_coords, window, count=count, eta=eta)
+def _profile(values, grid, y_coords, window):
+    spec = analysis.make_annuli(grid, y_coords, window)
     return spec, analysis.annulus_average(values, grid, spec)
 
 
-def _power_check(name, anchor, values, col, window, quantity, exponent, tol,
-                 radii_count, eta):
+def _power_check(name, anchor, values, col, window, quantity, exponent, tol):
     """Judge the fitted exponent of the shell means of ``values``."""
-    spec, stats = _profile(values, col.grid, col.source_coords, window,
-                           count=radii_count, eta=eta)
+    spec, stats = _profile(values, col.grid, col.source_coords, window)
     rep = analysis.fit_power_decay(spec.radii, stats, window, quantity)
     return Check(
         name=name, anchor=anchor,
@@ -71,8 +69,7 @@ def _interior_ratios(col, gmag):
 # decay suite, d = 3: |G| ~ r^{2-d}, |grad G| ~ r^{1-d}, interior ratios
 # ---------------------------------------------------------------------------
 
-def checks_decay3d(families=DECAY_FAMILIES, R=2.0, n=65, rel_tol=1e-10,
-                   radii_count=9, eta=analysis.DEFAULT_ETA):
+def checks_decay3d(families=DECAY_FAMILIES, R=2.0, n=65, rel_tol=1e-10):
     checks = []
     grid = mesh.build_grid(3, R, n)
     # the box offset c(R) ~ 1/R doubles on the nested half box, so one more
@@ -84,8 +81,7 @@ def checks_decay3d(families=DECAY_FAMILIES, R=2.0, n=65, rel_tol=1e-10,
         col = green.green_column(field, grid, grid.center_index,
                                  system=system, rel_tol=rel_tol)
         window = analysis.fit_window(grid)
-        spec, stats = _profile(col.values, grid, col.source_coords, window,
-                               count=radii_count, eta=eta)
+        spec, stats = _profile(col.values, grid, col.source_coords, window)
         half_col = green.green_column(field, half,
                                       half.node_at(col.source_coords),
                                       rel_tol=rel_tol)
@@ -132,7 +128,7 @@ def checks_decay3d(families=DECAY_FAMILIES, R=2.0, n=65, rel_tol=1e-10,
         gmag = np.linalg.norm(mesh.gradient_field(col.values, grid), axis=1)
         checks.append(_power_check(
             f"decay3d.grad.{fam}", "|grad_x G(x,y)| <= C |x-y|^(1-d)", gmag,
-            col, window, "grad_x", -2.0, 0.15, radii_count, eta))
+            col, window, "grad_x", -2.0, 0.15))
 
         meas = _interior_ratios(col, gmag)
         ok = meas["variation"] < 4.0
@@ -156,8 +152,7 @@ def checks_decay3d(families=DECAY_FAMILIES, R=2.0, n=65, rel_tol=1e-10,
 # decay suite, d = 2: log bound, gradient, mixed second derivatives
 # ---------------------------------------------------------------------------
 
-def checks_log2d(families=DECAY_FAMILIES, R=4.0, n=129, rel_tol=1e-10,
-                 radii_count=9, eta=analysis.DEFAULT_ETA):
+def checks_log2d(families=DECAY_FAMILIES, R=4.0, n=129, rel_tol=1e-10):
     checks = []
     slope_ref = 1.0 / (2.0 * np.pi)
     for fam in families:
@@ -168,8 +163,7 @@ def checks_log2d(families=DECAY_FAMILIES, R=4.0, n=129, rel_tol=1e-10,
                                  system=system, rel_tol=rel_tol)
         ncol = green.normalize_2d(col)
         window = analysis.fit_window(grid, "log")
-        spec, stats = _profile(ncol.values, grid, ncol.source_coords, window,
-                               count=radii_count, eta=eta)
+        spec, stats = _profile(ncol.values, grid, ncol.source_coords, window)
         rep = analysis.fit_log_growth(spec.radii, stats, window)
         rel_res = rep.rms_residual / np.mean(stats)
         ok = np.isfinite(rep.slope) and rel_res <= 0.10
@@ -194,14 +188,14 @@ def checks_log2d(families=DECAY_FAMILIES, R=4.0, n=129, rel_tol=1e-10,
         gmag = np.linalg.norm(mesh.gradient_field(col.values, grid), axis=1)
         checks.append(_power_check(
             f"log2d.grad.{fam}", "|grad_x G(x,y)| <= C |x-y|^(1-d)", gmag,
-            col, window_p, "grad_x", -1.0, 0.15, radii_count, eta))
+            col, window_p, "grad_x", -1.0, 0.15))
 
         tensor = green.mixed_derivative(field, grid, grid.center_index,
                                         system=system, rel_tol=rel_tol)
         tmag = np.sqrt((tensor**2).sum(axis=(1, 2)))
         checks.append(_power_check(
             f"log2d.mixed.{fam}", "|grad_x grad_y G(x,y)| <= C |x-y|^(-d)",
-            tmag, col, window_p, "mixed", -2.0, 0.2, radii_count, eta))
+            tmag, col, window_p, "mixed", -2.0, 0.2))
 
         meas = _interior_ratios(col, gmag)
         checks.append(Check(
@@ -550,8 +544,9 @@ PRESETS = {
 def run_preset(spec, **overrides):
     """Run the comma-separated presets in ``spec`` and return their checks.
     Each override, named by its config key, reaches the runners that have a
-    parameter of that name (``family``: ``families``); an unknown preset, or
-    an override that reaches none of them, raises before anything runs."""
+    parameter of that name (``family``: ``families``); an unknown or
+    repeated preset, or an override that reaches none of them, raises
+    before anything runs."""
     names = []
     for part in spec.split(","):
         part = part.strip()
@@ -561,6 +556,9 @@ def run_preset(spec, **overrides):
             names.append(part)
         else:
             raise ConfigError(f"unknown preset {part!r}")
+    twice = [nm for nm in PRESETS if names.count(nm) > 1]
+    if twice:
+        raise ConfigError(f"{', '.join(twice)} named twice in {spec!r}")
     params = {nm: inspect.signature(PRESETS[nm]).parameters for nm in names}
     route = {key: "families" if key == "family" else key for key in overrides}
     unread = sorted(key for key, name in route.items()

@@ -1,5 +1,5 @@
-"""Test oracles: a dense direct solve, the stencil invariant check and the
-box Galerkin product."""
+"""Test oracles: a dense direct solve, the stencil invariant check, the
+box Galerkin product and the box cell of a hand-built system."""
 
 import math
 
@@ -50,6 +50,17 @@ def validate(system):
     if not np.all(system.diagonal() > 0.0):
         raise ConfigError("nonpositive diagonal entry")
     return True
+
+
+def box_cell(system):
+    """A ``cell`` for a system that has none (hand-built, or a block
+    system): its box padded by a zero node past each coarsened axis, a cell
+    of period m + 1 there, which ``sparse._galerkin`` reads like any
+    other."""
+    d, axes, kept = len(system.shape), system.coarse_axes, len(system.data)
+    cell = np.pad(system.expanded().reshape((kept,) + system.shape),
+                  [(0, 0)] + [(0, int(k in axes)) for k in range(d)])
+    return cell.reshape(kept, -1), cell.shape[1:]
 
 
 def galerkin(system):

@@ -165,8 +165,11 @@ def test_cli_verify_selftest_fails_with_exit_1(tmp_path, monkeypatch):
     ("holder_exponent = 0.5\n", "adjoint"),
     ("experiments = adjoint\n", "adjoint"),
     ("family = identity\n", "lorentz,adjoint"),  # no families parameter
+    ("eta = 0.05\n", "decay3d"),  # the shells are literals of the runners
+    ("radii_count = 7\n", "log2d"),
 ], ids=["unknown-key", "empty-value", "repeated-key", "params", "unrouted-n",
-        "holder_exponent", "experiments", "unrouted-family"])
+        "holder_exponent", "experiments", "unrouted-family", "eta",
+        "radii_count"])
 def test_cli_malformed_config_exit_2(tmp_path, capsys, text, preset):
     bad = write(tmp_path / "bad.cfg", text)
     out = tmp_path / "nores"
@@ -229,6 +232,17 @@ def test_cli_oversized_grid_rejected_before_allocation(tmp_path, capsys,
     assert err.startswith("error:") and "stencil" in err
 
 
+@pytest.mark.parametrize("source", ["0.5", "0.5, 0.5, 0.5"])
+def test_cli_source_needs_one_coordinate_per_axis(tmp_path, capsys, source):
+    # a scalar source would broadcast to (0.5, 0.5) and solve there
+    cfg = write(tmp_path / "solve.cfg",
+                f"dim = 2\nR = 1.0\nn = 9\nsource = {source}\n")
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "2 coordinates" in err[0]
+
+
 def test_cli_zero_iteration_cap_exit_2(tmp_path, capsys):
     cfg = write(tmp_path / "solve.cfg",
                 "dim = 2\nn = 17\nR = 1.0\nmax_iter = 0\n")
@@ -255,8 +269,8 @@ def test_runner_parameters_are_the_routed_keys():
     # every settable value of a runner is a config key (family as families);
     # each other expectation is a literal in the runner
     table = {
-        "decay3d": {"families", "R", "n", "rel_tol", "radii_count", "eta"},
-        "log2d": {"families", "R", "n", "rel_tol", "radii_count", "eta"},
+        "decay3d": {"families", "R", "n", "rel_tol"},
+        "log2d": {"families", "R", "n", "rel_tol"},
         "monotone": {"families", "rel_tol"},
         "adjoint": {"n", "R", "rel_tol"},
         "lorentz": {"seed"},
@@ -305,4 +319,16 @@ def test_cli_unknown_name_in_preset_list_exit_2(tmp_path):
     out = tmp_path / "rep"
     assert main(["verify", "--preset", "adjoint,no-such-thing",
                  "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("spec", ["lorentz,lorentz", "all,oracle"])
+def test_cli_repeated_preset_exit_2(tmp_path, capsys, spec):
+    # a repeated preset would run, and report its checks, twice
+    with pytest.raises(ConfigError, match="twice"):
+        verify.run_preset(spec)
+    out = tmp_path / "rep"
+    assert main(["verify", "--preset", spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
     assert not (out / "report.json").exists()

@@ -6,7 +6,7 @@ from greenbox import (ConfigError, ConvergenceError, assemble, build_grid,
 from greenbox.lift import (arctan_kernel, assemble_lifted, build_slab,
                            compare_lift, integrate_t, lifted_column, mass_2d,
                            sine_modes)
-from oracles import dense_solve, validate
+from oracles import box_cell, dense_solve, validate
 
 FAMILIES = ("identity", "scalar_trig", "nonsym_skew")
 
@@ -274,6 +274,7 @@ def test_block_levels_are_the_block_chain_rounded(monkeypatch, family):
                   base.center_index)
     fine = systems[0]
     assert fine.shape == (33, 15, 15) and len(fine.hierarchy) == 3
+    fine.cell = box_cell(fine)
     for stored in fine.hierarchy:
         fine = sparse._galerkin(fine)
         assert stored.data.dtype == np.float32

@@ -77,6 +77,15 @@ def test_index_coordinate_roundtrip():
         assert g.node_at(g.coords(idx)) == idx
 
 
+@pytest.mark.parametrize("point", [0.5, (0.5,), (0.5, 0.5, 0.5),
+                                   [(0.5, 0.5)]])
+def test_node_at_needs_one_coordinate_per_axis(point):
+    # one coordinate per axis: a scalar would broadcast to (0.5, 0.5)
+    g = build_grid(2, 1.0, 9)
+    with pytest.raises(ConfigError, match="2 coordinates"):
+        g.node_at(point)
+
+
 @pytest.mark.parametrize("d,R,n", [(2, 1.0, 17), (2, 4.0, 129),
                                    (3, 2.0, 33), (3, 1.0, 9)])
 def test_distances_are_bitwise_the_norm_of_node_coords(d, R, n):

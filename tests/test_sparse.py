@@ -15,12 +15,12 @@ import greenbox
 from greenbox import (ConfigError, ConvergenceError, SparseSystem, assemble,
                       build_grid, lift, load_delta, make_field, matvec, mesh,
                       solve, sparse)
-from oracles import dense_solve, galerkin_chain, validate
+from oracles import box_cell, dense_solve, galerkin_chain, validate
 
 
 def from_dense(mat, symmetric=None):
     """1D 3-point stencil system of a tridiagonal matrix: rows (-1, 0, 1),
-    or (0, 1) when symmetric."""
+    or (0, 1) when symmetric, with its ``box_cell``."""
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
     assert np.array_equal(np.triu(np.tril(mat, 1), -1), mat), "not tridiagonal"
@@ -30,17 +30,21 @@ def from_dense(mat, symmetric=None):
     data[2, :-1] = np.diag(mat, 1)
     if symmetric is None:
         symmetric = bool(np.array_equal(mat, mat.T))
-    return SparseSystem(shape=(n,), data=data[1:] if symmetric else data,
-                        symmetric=symmetric)
+    system = SparseSystem(shape=(n,), data=data[1:] if symmetric else data,
+                          symmetric=symmetric)
+    system.cell = box_cell(system)
+    return system
 
 
 TWO_BY_TWO = [[2.0, -1.0], [-1.0, 2.0]]
 
 
 def unsymmetric(K):
-    """The same operator with all its rows and the symmetric flag cleared:
-    solved by BiCGStab."""
-    return SparseSystem(K.shape, K.full_rows(), False, K.stencil_axes)
+    """The same operator with all its rows and the symmetric flag cleared,
+    and its ``box_cell``: solved by BiCGStab."""
+    system = SparseSystem(K.shape, K.full_rows(), False, K.stencil_axes)
+    system.cell = box_cell(system)
+    return system
 
 
 def test_matvec_identity():
@@ -404,6 +408,8 @@ def test_galerkin_levels_match_dense_triple_product():
     assert [b.shape[0] for b in blocks] == [4, 3, 4, 4, 3]
     assert [b.stencil_axes for b in blocks] == [(1, 2)] * 5
     assert [b.coarse_axes for b in blocks] == [(1, 2)] * 5
+    for b in blocks:
+        b.cell = box_cell(b)
     # the float64 _galerkin chain holds the products to 1e-12; the stored
     # hierarchy is that chain rounded once to float32, level by level (the
     # lift block system's is summed from its factors' chains, and rounds to
@@ -420,12 +426,15 @@ def test_galerkin_levels_match_dense_triple_product():
                 P = np.kron(P, _interpolation(m) if k in fine.stencil_axes
                             else np.eye(m))
             expected = P.T @ fine.to_dense() @ P
+            # P and P^T: the V-cycle's transfer steps, on fresh buffers
+            y, bc = np.empty(fine.n_rows), np.empty(coarse.n_rows)
+            pool = np.empty((2, (fine.n_rows + 1) // 2))
             xc = np.sin(np.arange(coarse.n_rows) + 1.0)
-            np.testing.assert_allclose(sparse.prolong(xc, fine),
-                                       P @ xc, rtol=1e-14, atol=1e-14)
+            sparse._run(sparse._prolong(fine, xc, y, pool))
+            np.testing.assert_allclose(y, P @ xc, rtol=1e-14, atol=1e-14)
             x = np.cos(np.arange(fine.n_rows) + 1.0)
-            np.testing.assert_allclose(sparse.restrict(x, fine),
-                                       P.T @ x, rtol=1e-14, atol=1e-14)
+            sparse._run(sparse._restrict(fine, x, bc, pool))
+            np.testing.assert_allclose(bc, P.T @ x, rtol=1e-14, atol=1e-14)
             assert validate(coarse) and validate(stored)
             assert coarse.symmetric == stored.symmetric == fine.symmetric
             np.testing.assert_allclose(coarse.to_dense(), expected,
@@ -469,6 +478,7 @@ def test_block_system_is_the_27_row_operator(family):
     data = np.zeros((rows, blocks.n_rows))
     data[in_plane] = blocks.data
     full = SparseSystem(blocks.shape, data, blocks.symmetric)
+    full.cell = box_cell(full)
     assert validate(blocks) and validate(full)
     x = np.random.default_rng(4).standard_normal(blocks.n_rows)
     x[::3] = -0.0
@@ -842,6 +852,28 @@ def test_nnz_counts_the_on_grid_couplings_of_the_coupled_rows():
     # the lift block system's 9 in-plane rows bill 4 modes of 7 x 7 nodes;
     # on its coarsest level (4, 1, 1) only the centre row is on the grid
     assert [s.nnz for s in systems] == [19 ** 3, 43 ** 2, 4 * 19 ** 2, 4]
+
+
+def test_a_system_without_a_cell_does_not_coarsen(monkeypatch):
+    # a hand-built system whose axis coarsens has no Galerkin level, and
+    # solve refuses it before any iteration; one that does not coarsen
+    # needs no cell
+    def iterated(*args):
+        pytest.fail("solve iterated on a system without a cell")
+    monkeypatch.setattr(sparse, "_cg", iterated)
+    monkeypatch.setattr(sparse, "_bicgstab", iterated)
+    data = np.array([[2.0] * 7, [-1.0] * 6 + [0.0]])
+    K = SparseSystem((7,), data, True)
+    assert K.cell is None and K.coarse_axes == (0,)
+    with pytest.raises(ConfigError, match="cell"):
+        sparse._galerkin(K)
+    with pytest.raises(ConfigError, match="cell"):
+        solve(K, np.ones(7))
+    monkeypatch.undo()
+    K2 = SparseSystem((2,), np.array([[2.0, 2.0], [-1.0, 0.0]]), True)
+    assert K2.cell is None and K2.hierarchy == ()
+    u, _ = solve(K2, np.ones(2))
+    np.testing.assert_allclose(u, [1.0, 1.0], rtol=1e-10)
 
 
 def test_poorly_coarsening_systems_match_dense_oracle():
